@@ -24,36 +24,46 @@
  *    mailboxes drained at the barrier. Works for every model (faults,
  *    recovery, audit included) because same-window cross-lane events
  *    are simply executed in exact key order.
- *  - sharded threaded (shards > 1, ShardPlan::threaded): one worker
- *    thread per lane executes its lane's events inside the current
- *    window concurrently with the other lanes. The window width is the
- *    conservative lookahead (no cross-node message can arrive sooner
- *    than the NIC round-trip floor allows), so lanes never need each
- *    other mid-window; cross-lane events are exchanged only at window
- *    barriers through the phase-separated mailboxes. A cross-lane
- *    event scheduled *inside* the current window is a lookahead
- *    violation and panics. Identical results to the serial oracle
- *    follow from the shard-invariant key order plus lane-disjoint
- *    model state (the runner certifies specs before enabling this
- *    mode; see DESIGN.md section 11).
+ *  - sharded threaded (shards > 1, ShardPlan::threaded): one thread
+ *    per lane (the calling thread runs lane 0) executes its lane's
+ *    events inside the current window concurrently with the other
+ *    lanes. The window width is the conservative lookahead (no
+ *    cross-node message can arrive sooner than the NIC round-trip
+ *    floor allows), so lanes never need each other mid-window;
+ *    cross-lane events wait in per-lane-pair mailboxes. Lanes meet at
+ *    one barrier per window, and the last lane to arrive drains the
+ *    mailboxes and opens the next window at the earliest pending
+ *    event, skipping idle time. A cross-lane event scheduled *inside*
+ *    the current window is a lookahead violation and panics.
+ *    Identical results to the serial oracle follow from the
+ *    shard-invariant key order plus lane-disjoint model state (the
+ *    runner certifies specs before enabling this mode; see DESIGN.md
+ *    section 11).
  *
  * Hot-path layout: the priority queue is a hand-managed binary heap of
  * 24-byte POD entries (when, key, slot, exec-node) over a contiguous
  * arena of small-buffer-optimized callbacks. Sift operations move only
  * the POD entries -- never the closures -- and closures small enough
  * for the inline buffer (the coroutine-resumption common case) are
- * stored without any heap allocation.
+ * stored without any heap allocation. Each lane, each per-node sequence
+ * counter and each mailbox sits on its own cache line, so lanes running
+ * on different cores never write to a shared line mid-window.
  */
 
 #ifndef HADES_SIM_KERNEL_HH_
 #define HADES_SIM_KERNEL_HH_
 
+#include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -142,10 +152,8 @@ class Kernel
         lanes_.clear();
         lanes_.resize(shards_);
         mail_.clear();
-        mail_.resize(shards_);
-        for (auto &row : mail_)
-            row.resize(shards_);
-        seqByRank_.assign(std::size_t{plan.numNodes} + 2, 0);
+        mail_.resize(std::size_t{shards_} * shards_);
+        seqByRank_.assign(std::size_t{plan.numNodes} + 2, SeqCounter{});
         reserve(kDefaultReserve);
     }
 
@@ -217,7 +225,7 @@ class Kernel
         return n;
     }
 
-    /** True while the threaded executor is running worker phases. */
+    /** True while a threaded run is in flight. */
     bool
     threadedActive() const
     {
@@ -292,9 +300,9 @@ class Kernel
         if (rank >= seqByRank_.size()) {
             always_assert(!threadedActive(),
                           "unplanned node rank in threaded mode");
-            seqByRank_.resize(rank + 1, 0);
+            seqByRank_.resize(rank + 1);
         }
-        const std::uint64_t seq = seqByRank_[rank]++;
+        const std::uint64_t seq = seqByRank_[rank].next++;
         always_assert(seq < (std::uint64_t{1} << kSeqBits),
                       "per-node sequence overflow");
         const std::uint64_t key =
@@ -312,7 +320,7 @@ class Kernel
                     when >= windowEnd_,
                     "lookahead violated: cross-shard event scheduled "
                     "inside the current window");
-                mail_[srcLane][dstLane].push_back(
+                mailbox(srcLane, dstLane).push_back(
                     Mail{when, key, exec, std::move(fn)});
                 return;
             }
@@ -321,7 +329,7 @@ class Kernel
                 // machinery for events beyond the window; same-window
                 // cross-lane events (legal here) go straight into the
                 // destination heap and execute in exact key order.
-                mail_[srcLane][dstLane].push_back(
+                mailbox(srcLane, dstLane).push_back(
                     Mail{when, key, exec, std::move(fn)});
                 return;
             }
@@ -368,10 +376,10 @@ class Kernel
     };
 
     /** A cross-lane event in flight between window barriers. The
-     *  producing lane appends during an execution phase; the barrier
-     *  coordinator drains between phases, so the pair never accesses
-     *  the vector concurrently (single producer, single consumer,
-     *  phase-separated). */
+     *  producing lane appends while it executes a window; the barrier's
+     *  completion step drains while every lane waits at the barrier, so
+     *  the pair never accesses a mailbox concurrently (single producer,
+     *  single consumer, separated by the barrier). */
     struct Mail
     {
         Tick when;
@@ -380,9 +388,26 @@ class Kernel
         Callback fn;
     };
 
-    /** One shard: a heap + closure arena, owned by one worker thread
-     *  during threaded execution phases. */
-    struct Lane
+    /** One (src, dst) mailbox, on its own cache line: the source lane
+     *  writes its vector header on every cross-lane send. */
+    struct alignas(64) Mailbox
+    {
+        std::vector<Mail> items;
+    };
+
+    /** A per-source-node sequence stream, on its own cache line: it is
+     *  bumped on every schedule, and neighbouring node ids belong to
+     *  different lanes. */
+    struct alignas(64) SeqCounter
+    {
+        std::uint64_t next = 0;
+    };
+
+    /** One shard: a heap + closure arena, owned by one thread while a
+     *  threaded window executes. Aligned so that its vector headers and
+     *  counters, written on every event, share no line with another
+     *  lane's. */
+    struct alignas(64) Lane
     {
         std::vector<HeapEntry> heap;
         std::vector<Callback> slots;
@@ -531,33 +556,39 @@ class Kernel
     totalScheduled() const
     {
         std::uint64_t n = 0;
-        for (std::uint64_t s : seqByRank_)
-            n += s;
+        for (const SeqCounter &s : seqByRank_)
+            n += s.next;
         return n;
+    }
+
+    std::vector<Mail> &
+    mailbox(std::uint32_t src, std::uint32_t dst)
+    {
+        return mail_[std::size_t{src} * shards_ + dst].items;
     }
 
     bool
     anyMail() const
     {
-        for (const auto &row : mail_)
-            for (const auto &box : row)
-                if (!box.empty())
-                    return true;
+        for (const Mailbox &box : mail_)
+            if (!box.items.empty())
+                return true;
         return false;
     }
 
-    /** Move every mailbox item into its destination lane heap. Runs
-     *  single-threaded (deterministic merge loop or the coordinator
-     *  between threaded phases). */
+    /** Move every mailbox item into its destination lane heap, in fixed
+     *  (src, dst) order. Runs while no lane executes (deterministic
+     *  merge loop, or the threaded barrier's completion step). */
     void
     drainMailboxes()
     {
-        for (auto &row : mail_) {
-            for (std::size_t dst = 0; dst < row.size(); ++dst) {
-                for (Mail &m : row[dst])
+        for (std::uint32_t src = 0; src < shards_; ++src) {
+            for (std::uint32_t dst = 0; dst < shards_; ++dst) {
+                std::vector<Mail> &box = mailbox(src, dst);
+                for (Mail &m : box)
                     pushLane(lanes_[dst], m.when, m.key, m.exec,
                              std::move(m.fn));
-                row[dst].clear();
+                box.clear();
             }
         }
     }
@@ -629,6 +660,100 @@ class Kernel
     }
 
     // --- Sharded threaded execution ---------------------------------------
+    /** Bounds of a waiting lane's spin, in pause iterations, not time:
+     *  the kernel reads no clock. */
+    static constexpr unsigned kSpinIterations = 1u << 12;
+    static constexpr unsigned kMinSpinIterations = kSpinIterations >> 6;
+
+    static void
+    cpuRelax()
+    {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield" ::: "memory");
+#endif
+    }
+
+    /** CPUs this process may run on (its affinity mask where the
+     *  platform exposes one). */
+    static unsigned
+    usableCpus()
+    {
+#if defined(__linux__)
+        cpu_set_t set;
+        if (sched_getaffinity(0, sizeof(set), &set) == 0)
+            return unsigned(CPU_COUNT(&set));
+#endif
+        return std::max(1u, std::thread::hardware_concurrency());
+    }
+
+    /**
+     * The per-window rendezvous of the threaded executor. The last lane
+     * to arrive runs the completion step alone, while every other lane
+     * waits, then releases them by bumping the generation. A waiter
+     * spins for up to its lane's spin budget of pause iterations, then
+     * parks on the generation counter. The budget adapts: it doubles
+     * (up to kSpinIterations) after a spin that ended the wait and
+     * drops to a quarter (down to kMinSpinIterations) after one that
+     * did not, so the spin tracks the usual wait and shrinks when lanes
+     * get preempted -- by other processes or by the host of a virtual
+     * machine -- where a spinning waiter would steal the core of the
+     * lane it waits for. Waiters never spin when the lanes outnumber
+     * the CPUs.
+     */
+    class WindowBarrier
+    {
+      public:
+        WindowBarrier(std::uint32_t parties, bool spin)
+            : parties_(parties), spin_(spin)
+        {
+        }
+
+        template <class Completion>
+        void
+        arriveAndWait(Completion &&completion, unsigned &spinBudget)
+        {
+            // Exact: the generation cannot move until this lane arrives.
+            const std::uint32_t gen =
+                generation_.load(std::memory_order_relaxed);
+            // acq_rel: the last arriver acquires every lane's window
+            // writes (heaps, mailboxes) through the release sequence.
+            if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                parties_) {
+                arrived_.store(0, std::memory_order_relaxed);
+                completion();
+                // seq_cst, not release: notify_all may skip the wake when
+                // it reads no parked waiter, and a release store could be
+                // reordered after that read, losing the wake of a lane
+                // that parked in between.
+                generation_.store(gen + 1, std::memory_order_seq_cst);
+                generation_.notify_all();
+                return;
+            }
+            if (spin_) {
+                for (unsigned i = 0; i < spinBudget; ++i) {
+                    if (generation_.load(std::memory_order_acquire) !=
+                        gen) {
+                        spinBudget =
+                            std::min(spinBudget * 2, kSpinIterations);
+                        return;
+                    }
+                    cpuRelax();
+                }
+                spinBudget = std::max(spinBudget / 4, kMinSpinIterations);
+            }
+            while (generation_.load(std::memory_order_seq_cst) == gen)
+                generation_.wait(gen, std::memory_order_seq_cst);
+        }
+
+      private:
+        alignas(64) std::atomic<std::uint32_t> arrived_{0};
+        alignas(64) std::atomic<std::uint32_t> generation_{0};
+        const std::uint32_t parties_;
+        const bool spin_;
+    };
+
     /** One lane's share of a window: execute own-heap events strictly
      *  inside the window, in key order. */
     void
@@ -641,56 +766,85 @@ class Kernel
         l.lastNow = ctx.now;
     }
 
+    /**
+     * The exclusive step between threaded windows: drain the mailboxes
+     * and open the window [t_min, t_min + W) at the earliest pending
+     * event, skipping idle time. Skipping keeps the lookahead argument:
+     * a cross-lane send from an event at t >= t_min lands at
+     * t + W >= windowEnd_. Runs on whichever lane arrived last, so it
+     * must not schedule events or read now(). Returns false once the
+     * run is finished (nothing pending, or stop() requested).
+     */
+    bool
+    openNextWindow()
+    {
+        drainMailboxes();
+        bool pending = false;
+        Tick tmin = 0;
+        for (const Lane &l : lanes_) {
+            if (l.heap.empty())
+                continue;
+            const Tick when = l.heap.front().when;
+            tmin = pending ? std::min(tmin, when) : when;
+            pending = true;
+        }
+        if (!pending || stoppedNow())
+            return false;
+        windowEnd_ = tmin + windowTicks_;
+        return true;
+    }
+
+    /** One lane's thread body: execute a window, meet the others at the
+     *  barrier, repeat until the completion step declares the run done.
+     *  noexcept: an exception escaping a lane terminates the process. */
+    void
+    laneLoop(std::uint32_t lane, WindowBarrier &sync, bool &done) noexcept
+    {
+        ExecContext ctx{this, lane, lanes_[lane].lastNow, kControlNode};
+        CtxScope scope(&ctx);
+        unsigned spinBudget = kSpinIterations;
+        do {
+            runLaneWindow(lane, ctx);
+            sync.arriveAndWait(
+                [this, &done] {
+                    if (openNextWindow())
+                        ++barriers_;
+                    else
+                        done = true;
+                },
+                spinBudget);
+        } while (!done);
+    }
+
     bool
     runThreaded(Tick maxTime)
     {
         always_assert(maxTime < 0,
                       "threaded sharded runs execute to completion");
-        threadedActive_.store(true, std::memory_order_release);
-        // Phase protocol per window: everyone meets at A, workers
-        // execute their lane inside [windowStart, windowEnd), everyone
-        // meets at B, then the coordinator alone drains mailboxes and
-        // either advances the window or declares the run finished.
-        // Workers waiting at the next A give the coordinator exclusive
-        // access between B and A; the barriers publish every write.
-        std::barrier<> sync(shards_ + 1);
-        std::atomic<bool> done{false};
-        std::vector<std::thread> workers;
-        workers.reserve(shards_);
-        for (std::uint32_t lane = 0; lane < shards_; ++lane) {
-            workers.emplace_back([this, lane, &sync, &done] {
-                ExecContext ctx{this, lane, lanes_[lane].lastNow,
-                                kControlNode};
-                CtxScope scope(&ctx);
-                for (;;) {
-                    sync.arrive_and_wait(); // A: window start
-                    if (done.load(std::memory_order_relaxed))
-                        break;
-                    runLaneWindow(lane, ctx);
-                    sync.arrive_and_wait(); // B: window end
-                }
-            });
+        if (openNextWindow()) {
+            threadedActive_.store(true, std::memory_order_release);
+            // `done` is written only by the completion step and read
+            // after the barrier, which orders both.
+            bool done = false;
+            // On the heap, not the stack: freed into the calling
+            // thread's malloc cache, the barrier's block stays above the
+            // run's memory and keeps glibc from trimming the heap between
+            // runs. With a stack barrier, back-to-back runs re-faulted
+            // their ~220 MB (tpcc-local) each time, quadrupling the host
+            // time of a zero-transaction run.
+            const auto sync = std::make_unique<WindowBarrier>(
+                shards_, shards_ <= usableCpus());
+            std::vector<std::thread> workers;
+            workers.reserve(shards_ - 1);
+            for (std::uint32_t lane = 1; lane < shards_; ++lane)
+                workers.emplace_back([this, lane, &sync, &done] {
+                    laneLoop(lane, *sync, done);
+                });
+            laneLoop(0, *sync, done);
+            for (std::thread &w : workers)
+                w.join();
+            threadedActive_.store(false, std::memory_order_release);
         }
-        for (;;) {
-            sync.arrive_and_wait(); // A
-            if (done.load(std::memory_order_relaxed))
-                break;
-            sync.arrive_and_wait(); // B
-            // Exclusive coordinator section.
-            drainMailboxes();
-            bool pending = false;
-            for (const Lane &l : lanes_)
-                pending |= !l.heap.empty();
-            if (!pending || stoppedNow()) {
-                done.store(true, std::memory_order_relaxed);
-            } else {
-                windowEnd_ += windowTicks_;
-                ++barriers_;
-            }
-        }
-        for (std::thread &w : workers)
-            w.join();
-        threadedActive_.store(false, std::memory_order_release);
         Tick end = now_;
         for (const Lane &l : lanes_)
             end = std::max(end, l.lastNow);
@@ -701,10 +855,11 @@ class Kernel
     static thread_local ExecContext *tlsCtx_;
 
     std::vector<Lane> lanes_;
-    /** mail_[src][dst]: cross-lane events awaiting the next barrier. */
-    std::vector<std::vector<std::vector<Mail>>> mail_;
+    /** mail_[src * shards + dst]: cross-lane events awaiting the next
+     *  barrier. */
+    std::vector<Mailbox> mail_;
     /** Per-source-node sequence streams, indexed by key rank. */
-    std::vector<std::uint64_t> seqByRank_;
+    std::vector<SeqCounter> seqByRank_;
 
     std::uint32_t shards_ = 1;
     bool threaded_ = false;

@@ -19,9 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -122,7 +125,8 @@ TEST(ShardProperty, BarrierCountMatchesHorizonOverWindow)
     // crosses every window boundary between 0 and the last event time
     // exactly once, so windowBarriers() == floor(lastWhen / window)
     // (equivalently, the final window end is the least multiple of the
-    // window strictly above the horizon).
+    // window strictly above the horizon). The threaded executor skips
+    // idle windows instead; see ThreadedExecutorSkipsIdleWindows.
     for (Tick window : {Tick(64), Tick(100), Tick(1000)}) {
         for (Tick step : {Tick(37), Tick(100), Tick(250)}) {
             sim::Kernel k;
@@ -179,8 +183,8 @@ TEST(ShardProperty, ThreadedCrossShardDeliveryIsExactlyOnceAndOrdered)
 TEST(ShardProperty, ThreadedAllToAllMailboxesDeliverExactlyOnceInOrder)
 {
     // Every node floods every other node with sequenced messages, one
-    // batch per window, under the std::barrier executor: all 56
-    // (src,dst) mailboxes are live at every barrier. Each message must
+    // batch per window, under the threaded executor: all 56 (src,dst)
+    // mailboxes are live at every barrier. Each message must
     // arrive exactly once, on the destination's lane, in global time
     // order per lane, and in FIFO send order per (src,dst) pair.
     constexpr Tick kWindow = 100;
@@ -311,6 +315,143 @@ TEST(ShardProperty, PerLaneNicPortStateIsIsolatedAcrossExecutors)
             << "per-node byte count diverged at node " << n;
         EXPECT_EQ(serial.arrivals[n], threaded.arrivals[n])
             << "arrival schedule diverged at node " << n;
+    }
+}
+
+TEST(ShardProperty, ThreadedExecutorSkipsIdleWindows)
+{
+    // Sparse traffic: the first events land a thousand windows in, and
+    // every hop crosses lanes after a gap of at least ten windows. The
+    // threaded executor opens each window at the earliest pending
+    // event, so it crosses fewer barriers than the horizon holds
+    // windows, yet every lane must execute exactly the deterministic
+    // executor's event sequence.
+    constexpr Tick kWindow = 100;
+    constexpr std::uint32_t kNodes = 8;
+    constexpr std::uint32_t kShards = 4;
+    constexpr int kHops = 40;
+    using Trace = std::vector<std::vector<std::pair<NodeId, Tick>>>;
+
+    struct Outcome
+    {
+        Trace trace;
+        std::uint64_t barriers = 0;
+        Tick last = 0;
+    };
+    auto runOnce = [&](bool threaded) {
+        sim::Kernel k;
+        configureSharded(k, kShards, kNodes, kWindow, threaded);
+        Outcome out;
+        // trace[lane] and lcg[node] are touched only by their own lane.
+        out.trace.resize(kShards);
+        std::array<std::uint64_t, kNodes> lcg{};
+        for (NodeId n = 0; n < kNodes; ++n)
+            lcg[n] = n + 1;
+        std::function<void(int)> hop = [&](int depth) {
+            const NodeId node = k.currentNode();
+            out.trace[sim::Kernel::laneOf(node, kShards)].emplace_back(
+                node, k.now());
+            if (depth >= kHops)
+                return;
+            std::uint64_t &s = lcg[node];
+            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+            const Tick gap = 10 * kWindow + Tick((s >> 33) % (7 * kWindow));
+            // node + 1 or node + 3: always a different lane of four.
+            const NodeId dst = NodeId((node + 1 + 2 * (s >> 63)) % kNodes);
+            k.scheduleAs(dst, gap, [&hop, depth] { hop(depth + 1); });
+        };
+        for (NodeId n = 0; n < kNodes; ++n)
+            k.scheduleAs(n, 1000 * kWindow + 3 * Tick(n),
+                         [&hop] { hop(0); });
+        EXPECT_TRUE(k.run());
+        out.barriers = k.windowBarriers();
+        out.last = k.now();
+        return out;
+    };
+
+    const Outcome det = runOnce(false);
+    const Outcome thr = runOnce(true);
+    std::size_t events = 0;
+    for (std::uint32_t lane = 0; lane < kShards; ++lane) {
+        events += det.trace[lane].size();
+        EXPECT_EQ(det.trace[lane], thr.trace[lane])
+            << "lane " << lane << " diverged from the deterministic "
+            << "executor";
+    }
+    EXPECT_EQ(events, std::size_t(kNodes) * (kHops + 1));
+    EXPECT_EQ(det.last, thr.last);
+    const auto horizonWindows = std::uint64_t(det.last / kWindow);
+    EXPECT_EQ(det.barriers, horizonWindows);
+    EXPECT_LT(thr.barriers, horizonWindows)
+        << "the threaded executor stepped through idle windows";
+}
+
+TEST(ShardProperty, ThreadedBarrierStressDeliversExactlyOnceInOrder)
+{
+    // Ten thousand one-tick windows with mail between every node pair,
+    // at 2, 4 and 8 lanes: each round every node sends one sequenced
+    // message to a rotating destination, so all 56 (src,dst) pairs carry
+    // traffic every 7 windows. Eight lanes outnumber the CPUs of small
+    // hosts, which exercises the barrier's park path. Every message must
+    // arrive exactly once and in FIFO order per pair, and the threaded
+    // run must use one thread per lane, lane 0 on the calling thread.
+    constexpr Tick kWindow = 1;
+    constexpr std::uint32_t kNodes = 8;
+    constexpr int kRounds = 10000;
+    for (std::uint32_t shards : {2u, 4u, 8u}) {
+        sim::Kernel k;
+        configureSharded(k, shards, kNodes, kWindow, true);
+
+        // inbox[dst] is written only by dst's lane, sent[src] only by
+        // src's lane, laneThread[lane] only by that lane.
+        std::vector<std::vector<std::pair<NodeId, int>>> inbox(kNodes);
+        std::array<std::array<int, kNodes>, kNodes> sent{};
+        std::vector<std::thread::id> laneThread(shards);
+
+        std::function<void(NodeId, int)> round = [&](NodeId src, int r) {
+            laneThread[sim::Kernel::laneOf(src, shards)] =
+                std::this_thread::get_id();
+            if (r >= kRounds)
+                return;
+            const NodeId dst =
+                NodeId((src + 1 + r % (kNodes - 1)) % kNodes);
+            const int seq = sent[src][dst]++;
+            k.scheduleAs(dst, kWindow, [&inbox, src, dst, seq] {
+                inbox[dst].emplace_back(src, seq);
+            });
+            k.scheduleAs(src, kWindow,
+                         [&round, src, r] { round(src, r + 1); });
+        };
+        for (NodeId n = 0; n < kNodes; ++n)
+            k.scheduleAs(n, kWindow, [&round, n] { round(n, 0); });
+
+        EXPECT_TRUE(k.run());
+        EXPECT_GE(k.windowBarriers(), std::uint64_t(kRounds))
+            << "shards=" << shards;
+
+        std::size_t total = 0;
+        for (NodeId dst = 0; dst < kNodes; ++dst) {
+            total += inbox[dst].size();
+            std::array<int, kNodes> nextSeq{};
+            for (const auto &[src, seq] : inbox[dst])
+                ASSERT_EQ(seq, nextSeq[src]++)
+                    << "shards=" << shards << " pair " << src << "->"
+                    << dst << " dropped, duplicated or reordered mail";
+            for (NodeId src = 0; src < kNodes; ++src)
+                EXPECT_EQ(nextSeq[src], sent[src][dst])
+                    << "shards=" << shards << " pair " << src << "->"
+                    << dst << " lost mail";
+        }
+        EXPECT_EQ(total, std::size_t(kNodes) * kRounds);
+
+        EXPECT_EQ(laneThread[0], std::this_thread::get_id())
+            << "lane 0 must run on the calling thread";
+        std::vector<std::thread::id> distinct = laneThread;
+        std::sort(distinct.begin(), distinct.end());
+        EXPECT_EQ(std::unique(distinct.begin(), distinct.end()) -
+                      distinct.begin(),
+                  std::ptrdiff_t(shards))
+            << "a threaded run uses exactly one thread per lane";
     }
 }
 
