@@ -314,8 +314,13 @@ TEST(AuditorHooks, StateLeakCaught)
 struct AuditedRunCase
 {
     EngineKind engine;
-    bool faulty;
+    // Full-width rather than bool: with no padding bytes in the struct,
+    // the byte dump gtest appends to each test name is the same on
+    // every run instead of echoing uninitialised stack contents.
+    std::uint32_t faulty;
 };
+static_assert(sizeof(AuditedRunCase) ==
+              sizeof(EngineKind) + sizeof(std::uint32_t));
 
 class AuditedRun : public ::testing::TestWithParam<AuditedRunCase>
 {};
