@@ -8,11 +8,17 @@
  * bit-for-bit. The matrix spans the three engines, two workloads, fault
  * injection on/off, and the correctness auditor on/off, so a
  * determinism regression in any of those layers trips this test.
+ *
+ * Rerun comparisons cannot catch a change that moves every run the
+ * same way, so PinnedDigestsMatchParent also pins the digest of each
+ * golden row (plus rows for replication, crashes, membership, grey
+ * failure and the lock-mode fallback) against a checked-in value.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/result_hash.hh"
@@ -66,6 +72,150 @@ goldenSpecs()
         }
     }
     return specs;
+}
+
+/** A small audited three-node YCSB-A spec the extra pinned rows
+ *  start from. */
+core::RunSpec
+smallSpec(protocol::EngineKind engine)
+{
+    core::RunSpec spec;
+    spec.engine = engine;
+    spec.mix = {{workload::AppKind::YcsbA, kvs::StoreKind::HashTable}};
+    spec.cluster.numNodes = 3;
+    spec.cluster.coresPerNode = 2;
+    spec.cluster.slotsPerCore = 2;
+    spec.txnsPerContext = 10;
+    spec.scaleKeys = 4000;
+    spec.audit = true;
+    return spec;
+}
+
+/** Rows for the paths the golden matrix does not reach: replication
+ *  with recovery, a permanent crash, a membership join, a slow NIC with
+ *  every grey-failure mitigation, and the forced lock-mode fallback. */
+std::vector<std::pair<std::string, core::RunSpec>>
+extraPinnedSpecs()
+{
+    using protocol::EngineKind;
+    std::vector<std::pair<std::string, core::RunSpec>> rows;
+    for (auto engine : {EngineKind::HadesHybrid, EngineKind::Hades}) {
+        const std::string e = protocol::engineKindName(engine);
+
+        auto repl = smallSpec(engine);
+        repl.replication.degree = 2;
+        repl.cluster.recovery.enabled = true;
+        rows.emplace_back(e + "/replication", repl);
+
+        auto crash = repl;
+        crash.mix = {{workload::AppKind::Smallbank,
+                      kvs::StoreKind::HashTable}};
+        FaultConfig::NodeEvent dead;
+        dead.node = 2;
+        dead.at = us(30);
+        dead.crash = true;
+        dead.forever = true;
+        crash.cluster.faults.enabled = true;
+        crash.cluster.faults.nodeEvents.push_back(dead);
+        rows.emplace_back(e + "/crash-forever", crash);
+
+        auto join = smallSpec(engine);
+        join.cluster.numNodes = 4;
+        join.cluster.membership.initialMembers = 3;
+        join.cluster.membership.joins.push_back({3, us(20)});
+        join.cluster.recovery.enabled = true;
+        join.replication.degree = 1;
+        rows.emplace_back(e + "/join", join);
+
+        auto grey = smallSpec(engine);
+        grey.replication.degree = 2;
+        FaultConfig::GreyEvent slow;
+        slow.kind = FaultConfig::GreyEvent::Kind::SlowNic;
+        slow.node = 1;
+        slow.factorPct = 600;
+        slow.at = 0;
+        slow.until = kTickMax;
+        grey.cluster.faults.enabled = true;
+        grey.cluster.faults.greyEvents.push_back(slow);
+        grey.cluster.slo.enabled = true;
+        grey.cluster.admission.enabled = true;
+        grey.cluster.admission.maxInFlight = 3;
+        grey.cluster.admission.retryBudgetPct = 25;
+        rows.emplace_back(e + "/slow-nic", grey);
+
+        auto lock = repl;
+        lock.cluster.tuning.maxSquashesBeforeLockMode = 1;
+        rows.emplace_back(e + "/lock-mode", lock);
+    }
+    auto lock = smallSpec(EngineKind::Baseline);
+    lock.cluster.recovery.enabled = true;
+    lock.cluster.tuning.maxSquashesBeforeLockMode = 1;
+    rows.emplace_back("Baseline/lock-mode", lock);
+    return rows;
+}
+
+/** Digests of goldenSpecs() followed by extraPinnedSpecs(). A change
+ *  that moves any simulated result -- a refactor meant to be
+ *  behaviour-preserving included -- fails here. Update these only for
+ *  a change that is meant to move results, and say so in its log. */
+constexpr std::uint64_t kPinnedDigests[] = {
+    0x6572d202e75fda88ULL,
+    0x07468d5549ec6cf6ULL,
+    0x59946842f9cd386bULL,
+    0x5023445b225dace2ULL,
+    0xde0d9852f87d231bULL,
+    0xb47982e0397060c1ULL,
+    0x4f665c3a12b0e1d2ULL,
+    0x109fed07fdd7f628ULL,
+    0xeab4d1aa848f9d0cULL,
+    0xc057e6419bcd1189ULL,
+    0x245b99b3964ed786ULL,
+    0xf818e7b69d64a75eULL,
+    0x0b3100d1d09f6e6cULL,
+    0x51ef013ae6af283dULL,
+    0x262b6e2d0b21ca56ULL,
+    0xd621698236482135ULL,
+    0x6618702952d3494dULL,
+    0xee2801af90234372ULL,
+    0xd61f36d5413ed4feULL,
+    0x41f48538b1610672ULL,
+    0xc2d8d40947795f62ULL,
+    0x368f53a9c2c05784ULL,
+    0xad7f3039e642bcf6ULL,
+    0x1488bf8cdff08820ULL,
+    0xb2fdfd06809ae6f2ULL,
+    0x9045a5554b5da130ULL,
+    0x7aee156f3a29baabULL,
+    0x330dd084b5f4f793ULL,
+    0xd46a0c0fca71529aULL,
+    0xb333d5d36669b7c7ULL,
+    0x98af888d9944818aULL,
+    0x616dfd1a26a692cdULL,
+    0x2fd391418c25fc69ULL,
+    0xc56bf4fb352b2491ULL,
+    0x784f10b4ad25331eULL,
+};
+
+TEST(Golden, PinnedDigestsMatchParent)
+{
+    std::vector<std::pair<std::string, core::RunSpec>> rows;
+    for (const auto &spec : goldenSpecs()) {
+        rows.emplace_back(
+            std::string(protocol::engineKindName(spec.engine)) + "/" +
+                workload::appKindName(spec.mix[0].app) +
+                (spec.cluster.faults.enabled ? "/faults" : "") +
+                (spec.audit ? "/audit" : ""),
+            spec);
+    }
+    for (auto &row : extraPinnedSpecs())
+        rows.push_back(std::move(row));
+
+    ASSERT_EQ(rows.size(), std::size(kPinnedDigests));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto res = core::runOne(rows[i].second);
+        EXPECT_EQ(hashResult(res), kPinnedDigests[i])
+            << rows[i].first << " committed=" << res.stats.committed;
+    }
 }
 
 TEST(Golden, SerialRerunIsBitIdentical)
