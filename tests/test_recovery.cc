@@ -239,6 +239,32 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, RecoveryDeterminism,
                              return std::string(engineTag(info.param));
                          });
 
+/** Baseline's lock-all fallback under replication and recovery: a
+ *  transaction that writes a record twice must install one durable
+ *  image per record, or the backups hold two different images at one
+ *  commit sequence. */
+TEST(CrashRecovery, BaselineLockModeInstallsOneImagePerRecord)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u, 36u}) {
+        core::RunSpec spec;
+        spec.engine = EngineKind::Baseline;
+        spec.cluster.numNodes = 3;
+        spec.cluster.coresPerNode = 2;
+        spec.cluster.slotsPerCore = 2;
+        spec.cluster.seed = seed;
+        spec.cluster.recovery.enabled = true;
+        spec.cluster.tuning.maxSquashesBeforeLockMode = 1;
+        spec.replication.degree = 2;
+        spec.txnsPerContext = 20;
+        spec.scaleKeys = 4000;
+        spec.audit = true;
+        const auto res = core::runOne(spec);
+        EXPECT_EQ(res.stats.committed, 240u) << "seed " << seed;
+        EXPECT_GT(res.stats.lockModeFallbacks, 0u) << "seed " << seed;
+        EXPECT_EQ(res.divergentRecords, 0u) << "seed " << seed;
+    }
+}
+
 // --- direct System-level promotion check --------------------------------------
 
 sim::DetachedTask
