@@ -8,7 +8,6 @@
 #include "fault/fault_plan.hh"
 #include "protocol/baseline.hh"
 #include "protocol/hades.hh"
-#include "protocol/hades_hybrid.hh"
 #include "protocol/system.hh"
 #include "recovery/membership.hh"
 #include "recovery/recovery_manager.hh"
@@ -39,11 +38,9 @@ makeEngine(EngineKind kind, System &sys, std::uint32_t payload_bytes)
         return std::make_unique<protocol::BaselineEngine>(
             sys, payload_bytes);
       case EngineKind::Hades:
-        return std::make_unique<protocol::HadesEngine>(sys,
-                                                       payload_bytes);
       case EngineKind::HadesHybrid:
-        return std::make_unique<protocol::HadesHybridEngine>(
-            sys, payload_bytes);
+        return std::make_unique<protocol::HadesEngine>(sys, payload_bytes,
+                                                       kind);
     }
     panic("unknown engine kind");
 }

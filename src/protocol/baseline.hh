@@ -42,23 +42,6 @@ class BaselineEngine : public TxnEngine
 
     EngineKind kind() const override { return EngineKind::Baseline; }
 
-    /** Release the pessimistic-fallback token if the dead node held
-     *  it, so surviving fallback transactions make progress. */
-    void
-    onNodeDead(NodeId node) override
-    {
-        if (tokenBusy_ && tokenOwner_ == node)
-            tokenBusy_ = false;
-    }
-
-    std::uint32_t
-    recordBytes(std::uint32_t payload_bytes) const override
-    {
-        return txn::RecordLayout{payload_bytes}.swBytes();
-    }
-
-    sim::Task run(ExecCtx ctx, const txn::TxnProgram &prog) override;
-
   private:
     struct ReadEntry
     {
@@ -77,9 +60,8 @@ class BaselineEngine : public TxnEngine
         bool locked = false;
     };
 
-    /** One optimistic attempt; sets @p committed on success. */
     sim::Task attempt(ExecCtx ctx, const txn::TxnProgram &prog,
-                      bool &committed);
+                      bool &committed) override;
 
     /**
      * FaRM livelock fallback: lock every record up front (in record-id
@@ -87,7 +69,7 @@ class BaselineEngine : public TxnEngine
      * commits.
      */
     sim::Task attemptPessimistic(ExecCtx ctx,
-                                 const txn::TxnProgram &prog);
+                                 const txn::TxnProgram &prog) override;
 
     /** Release all locks this attempt still holds (abort path).
      *  @p self is the (possibly epoch-tagged) lock-owner id. */
@@ -109,14 +91,6 @@ class BaselineEngine : public TxnEngine
         std::function<void(NodeId, const std::vector<std::size_t> &)>
             repost);
 
-    /** Serializes pessimistic fallbacks: running several lock-all
-     *  transactions concurrently creates lock convoys on skewed
-     *  workloads (each holds hot locks while waiting for the next).
-     *  The holder is tracked so recovery can release a dead holder's
-     *  token (see onNodeDead). */
-    bool tokenBusy_ = false;
-    NodeId tokenOwner_ = 0;
-
     /** Recovery only: control blocks of in-flight attempts, keyed by
      *  the epoch-tagged lock-owner id and registered with the
      *  SquashRouter. Keeps the control block the router points to
@@ -125,14 +99,6 @@ class BaselineEngine : public TxnEngine
      *  reads valid state. Ordered for deterministic enumeration. */
     // hades-analyze: lane-escape-ok (writes are recoveryOn()-gated; recovery specs never certify for threaded execution)
     std::map<std::uint64_t, std::shared_ptr<AttemptControl>> attempts_;
-
-    /** Next per-context attempt epoch (faults-on or recovery-on):
-     *  makes lock owner ids unique across attempts, so a replayed
-     *  unlock or commit write from an earlier attempt can never touch
-     *  the locks of a later one -- and so recovery's per-transaction
-     *  state (staged replica images, pending-apply journal entries)
-     *  never aliases across attempts. Fault-free the bare packed
-     *  context id is used, as before. */
 
     txn::RecordLayout layout_;
 };

@@ -97,19 +97,40 @@ class TxnEngine
     const char *name() const { return engineKindName(kind()); }
 
     /**
-     * Execute one transaction to commit, retrying on squashes. The
-     * coroutine completes when the transaction has committed (or, for
-     * repeatedly squashed transactions, committed via the pessimistic
-     * fallback).
+     * Execute one transaction to commit: the retry driver all engines
+     * share. A squashed attempt is retried after the admission retry
+     * gate and a backoff; after maxSquashesBeforeLockMode squashes the
+     * transaction commits through the engine's pessimistic fallback.
      */
-    virtual sim::Task run(ExecCtx ctx, const txn::TxnProgram &prog) = 0;
-
-    /**
-     * In-memory footprint a record of @p payload_bytes needs under this
-     * engine's layout (SW metadata or bare payload).
-     */
-    virtual std::uint32_t recordBytes(std::uint32_t payload_bytes)
-        const = 0;
+    sim::Task
+    run(ExecCtx ctx, const txn::TxnProgram &prog)
+    {
+        const Tick start = sys_.kernel.now();
+        sys_.tracer.log(start, sim::TraceEvent::TxnStart, ctx.packed(),
+                        ctx.node);
+        std::uint32_t squash_count = 0;
+        for (;;) {
+            throwIfNodeDead(ctx);
+            st().attempts += 1;
+            bool committed = false;
+            co_await attempt(ctx, prog, committed);
+            if (committed)
+                break;
+            squash_count += 1;
+            co_await retryGate(ctx);
+            if (squash_count >=
+                sys_.config.tuning.maxSquashesBeforeLockMode) {
+                st().lockModeFallbacks += 1;
+                co_await attemptPessimistic(ctx, prog);
+                break;
+            }
+            co_await sim::Delay{sys_.kernel, backoff(squash_count)};
+        }
+        st().committed += 1;
+        st().latency.add(std::uint64_t(sys_.kernel.now() - start));
+        sys_.tracer.log(sys_.kernel.now(), sim::TraceEvent::TxnCommit,
+                        ctx.packed(), ctx.node);
+    }
 
     /**
      * Aggregate statistics over the whole run. Counters are kept in
@@ -131,11 +152,15 @@ class TxnEngine
 
     /**
      * Crash-recovery hook: @p node was declared permanently dead by a
-     * view change. Engines release any cluster-wide resource the dead
-     * node may hold (e.g. the pessimistic-fallback token) so survivors
-     * make progress. Default: nothing to release.
+     * view change. Releases the pessimistic-fallback token if the dead
+     * node held it, so surviving fallback transactions make progress.
      */
-    virtual void onNodeDead(NodeId node) { (void)node; }
+    void
+    onNodeDead(NodeId node)
+    {
+        if (tokenBusy_ && tokenOwner_ == node)
+            tokenBusy_ = false;
+    }
 
     /** Record one admission-control shed of a would-be transaction at
      *  @p node (the driver calls this when admit() refuses; the
@@ -149,6 +174,39 @@ class TxnEngine
     }
 
   protected:
+    /** One optimistic attempt; sets @p committed when it commits and
+     *  returns normally when it was squashed. */
+    virtual sim::Task attempt(ExecCtx ctx, const txn::TxnProgram &prog,
+                              bool &committed) = 0;
+
+    /** Pessimistic fallback after repeated squashes (Section VI):
+     *  always commits. */
+    virtual sim::Task attemptPessimistic(ExecCtx ctx,
+                                         const txn::TxnProgram &prog) = 0;
+
+    /**
+     * Take the cluster-wide pessimistic-fallback token, waiting while
+     * another fallback holds it. The token serializes fallbacks:
+     * concurrent lock-all transactions convoy on skewed workloads.
+     * The holder is recorded so onNodeDead can free a dead holder's
+     * token.
+     */
+    sim::Task
+    acquireFallbackToken(ExecCtx ctx)
+    {
+        while (tokenBusy_) {
+            co_await sim::Delay{sys_.kernel, us(1)};
+            // Fail-stop: the pure-Delay wait has no occupy() to throw
+            // for us, so check for our own death explicitly.
+            if (sys_.network.nodeDead(ctx.node))
+                throw sim::NodeDead{};
+        }
+        tokenBusy_ = true;
+        tokenOwner_ = ctx.node;
+    }
+
+    void releaseFallbackToken() { tokenBusy_ = false; }
+
     /** Core compute resource of a context. */
     sim::ComputeResource &
     coreOf(const ExecCtx &ctx)
@@ -520,23 +578,33 @@ class TxnEngine
     /** Per-line streaming cost after the first line of a bulk access. */
     static constexpr std::int64_t kStreamCycles = 4;
 
-    /** Next attempt epoch of context @p ctx (attempt ids embed it so a
-     *  retry is distinguishable from its squashed predecessor). Stored
-     *  per node so the bookkeeping stays lane-local. */
+    /** Bit position of the attempt epoch inside an attempt id. */
+    static constexpr unsigned kEpochShift = 48;
+
+    /** A fresh attempt id for @p ctx: its packed id tagged with the
+     *  context's next attempt epoch, so a retry is distinguishable from
+     *  its squashed predecessor. Epochs are stored per node so the
+     *  bookkeeping stays lane-local. */
     std::uint64_t
-    nextEpoch(const ExecCtx &ctx)
+    attemptId(const ExecCtx &ctx)
     {
-        return epochsByNode_[ctx.node][ctx.packed()]++;
+        const std::uint64_t epoch =
+            epochsByNode_[ctx.node][ctx.packed()]++ & 0x3fff;
+        return ctx.packed() | (epoch << kEpochShift);
     }
 
     System &sys_;
     /** Per-node stats buckets + control bucket (see st()). */
     std::vector<txn::EngineStats> statsByNode_;
-    /** Per-node attempt-epoch counters (see nextEpoch()). */
+    /** Per-node attempt-epoch counters (see attemptId()). */
     std::vector<std::unordered_map<std::uint64_t, std::uint64_t>>
         epochsByNode_;
 
   private:
+    /** Cluster-wide pessimistic-fallback token and its holder. */
+    bool tokenBusy_ = false;
+    NodeId tokenOwner_ = 0;
+
     /** In-flight reliablePost state, owned by the kernel closures. */
     // hades-analyze: lane-escape-ok (constructed only when faults are on -- fault-free reliablePost degenerates to a plain post -- and fault-injected traffic is hard-gated by Network::refuseIfThreaded)
     struct ReliableSend

@@ -1,18 +1,32 @@
 /**
  * @file
- * The hardware-only HADES protocol engine (Section V-A, Table II).
+ * The HADES protocol engine (Section V-A, Table II) and its hybrid
+ * variant HADES-H (Section V-D): one engine, two local paths.
  *
- * Per transaction attempt the engine maintains the hardware the paper
- * adds: a Local read BF and a split Local write BF (Module 3), the
- * Recorded RD/WR filter bits (Module 1, modeled as exact sets), WrTX ID
- * tags in the home node's LLC directory (Module 2), Remote read/write
- * BFs in the NICs of remote nodes (Module 4a), and the per-transaction
- * remote-write tables in the local NIC (Module 4b).
+ * Both configurations share the hardware remote path: Remote read/write
+ * BFs in the NICs of remote nodes (Module 4a), the per-transaction
+ * remote-write tables in the local NIC (Module 4b), and the
+ * Intend-to-commit / Ack / Validation verbs. They differ only in how a
+ * transaction accesses records homed at its own node -- the LocalPath:
  *
- * Conflict policy (Section IV-B): L-L conflicts are detected eagerly at
- * access time (the second accessor squashes itself); conflicts with at
- * least one remote access are detected lazily when the first transaction
- * commits (the committer squashes the other).
+ *  - Hardware (HADES): a Local read BF and a split Local write BF
+ *    (Module 3), the Recorded RD/WR filter bits (Module 1, modeled as
+ *    exact sets) and WrTX ID tags in the LLC directory (Module 2).
+ *    L-L conflicts are detected eagerly at access time (the second
+ *    accessor squashes itself); evicting a speculatively-written LLC
+ *    line squashes its owner.
+ *  - Software (HADES-H): records carry Figure 1 metadata, local reads
+ *    and writes are tracked at record granularity in Read and Write
+ *    sets exactly like SW-Impl, and local conflicts are found by a
+ *    software Local Validation (version re-reads) after all Acks
+ *    arrive. Of the processor-side hardware only the partial
+ *    directory-locking primitive survives: at commit the local record
+ *    addresses are passed to the NIC, which builds the equivalent of
+ *    LocalRead/WriteBF and installs them in a Locking Buffer.
+ *
+ * Conflict policy (Section IV-B): conflicts with at least one remote
+ * access are detected lazily when the first transaction commits (the
+ * committer squashes the other).
  *
  * Model notes (documented deviations):
  *  - Fault-free, squash notifications are real round trips delivered on
@@ -30,6 +44,10 @@
  *    Intend-to-commit address list in addition to RemoteWriteBF, so
  *    fully-written lines (which the paper deliberately keeps out of the
  *    write BF) are also protected during the commit window.
+ *  - The two local paths order a few shared commit and abort steps
+ *    differently, and HADES-H stages replicas only when crash recovery
+ *    is on; LocalPath::Profile records each difference (DESIGN.md
+ *    section 5).
  */
 
 #ifndef HADES_PROTOCOL_HADES_HH_
@@ -39,8 +57,8 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
+#include <variant>
 #include <vector>
 
 #include "bloom/bloom_filter.hh"
@@ -50,49 +68,77 @@
 namespace hades::protocol
 {
 
-/** Hardware-only HADES engine. */
+/** HADES (hardware local path) or HADES-H (software local path). */
 class HadesEngine : public TxnEngine
 {
   public:
-    HadesEngine(System &sys, std::uint32_t payload_bytes);
+    /** @p kind picks the local path: EngineKind::Hades the hardware
+     *  one, EngineKind::HadesHybrid the software one. */
+    HadesEngine(System &sys, std::uint32_t payload_bytes, EngineKind kind);
     ~HadesEngine() override;
 
-    EngineKind kind() const override { return EngineKind::Hades; }
-
-    std::uint32_t
-    recordBytes(std::uint32_t payload_bytes) const override
-    {
-        // HADES needs no record metadata (Table I row 2).
-        return txn::RecordLayout{payload_bytes}.hwBytes();
-    }
-
-    sim::Task run(ExecCtx ctx, const txn::TxnProgram &prog) override;
-
-    /** Release the pessimistic-fallback token if the dead node held
-     *  it, so surviving fallback transactions make progress. */
-    void
-    onNodeDead(NodeId node) override
-    {
-        if (tokenBusy_ && tokenOwner_ == node)
-            tokenBusy_ = false;
-    }
+    EngineKind kind() const override;
 
   private:
-    /** Live hardware state of one attempt. */
+    class LocalPath;
+    class HwPath;
+    class SwPath;
+
+    /** One software Read Set entry (HADES-H local path). */
+    struct LocalRead
+    {
+        std::uint64_t record;
+        std::uint64_t version;
+    };
+
+    /** One software Write Set entry (HADES-H local path). */
+    struct LocalWrite
+    {
+        std::uint64_t record;
+        std::uint64_t version;
+        std::int64_t value;
+    };
+
+    /** Live state of one attempt. */
     // hades-analyze: lane-escape-ok (coordinator-lane state: every mutable field is written either by the coordinator's own events or by ack/squash deliveries routed to the coordinator's lane through the window-barrier mailboxes; remote handlers read only immutable fields -- id, homeNode -- plus faultsOn()-gated flags that only matter on the serial executors)
     struct Attempt
     {
-        Attempt(const ClusterConfig &cfg, std::uint64_t llc_sets)
-            : localReadBf(cfg.coreReadBf.bits, cfg.coreReadBf.numHashes),
-              localWriteBf(cfg.coreWriteBf, llc_sets)
+        using WriteFilter =
+            std::variant<bloom::SplitWriteBloomFilter, bloom::BloomFilter>;
+
+        Attempt(bloom::BloomFilter read_bf, WriteFilter write_bf)
+            : localReadBf(std::move(read_bf)),
+              localWriteBf(std::move(write_bf))
         {}
 
+        /** The write BF as the Locking Buffer sees it. */
+        const bloom::AddressFilter &
+        writeFilter() const
+        {
+            return std::visit(
+                [](const auto &f) -> const bloom::AddressFilter & {
+                    return f;
+                },
+                localWriteBf);
+        }
+
         AttemptControl ctrl;
+        // --- local path ---------------------------------------------------
+        /** Local read/write BFs: the core's Module 3 filters (hardware;
+         *  the write BF is split) or the ones the NIC builds from the
+         *  software sets at commit (software). */
         bloom::BloomFilter localReadBf;
-        bloom::SplitWriteBloomFilter localWriteBf;
-        /** Module 1 Recorded RD/WR bits + locally-cached remote lines. */
+        WriteFilter localWriteBf;
+        /** Software Read and Write sets (empty on the hardware path). */
+        std::vector<LocalRead> localReads;
+        std::vector<LocalWrite> localWrites;
+        // --- remote path --------------------------------------------------
+        /** Module 1 Recorded RD/WR bits + locally-cached remote lines
+         *  (the software path records remote lines only). */
         std::unordered_set<Addr> recordedRd, recordedWr;
-        /** Buffered writes: record -> (home, value). Ordered: commit
+        /** Buffered writes shipped by the shared commit: record ->
+         *  (home, value). Holds every write on the hardware path and
+         *  the remote writes on the software path. Ordered: commit
          *  iterates it and the order reaches message/write timing. */
         std::map<std::uint64_t, std::pair<NodeId, std::int64_t>>
             writeBuffer;
@@ -123,17 +169,12 @@ class HadesEngine : public TxnEngine
 
     using AttemptPtr = std::shared_ptr<Attempt>;
 
-    /** One optimistic attempt; sets @p committed. */
     sim::Task attempt(ExecCtx ctx, const txn::TxnProgram &prog,
-                      std::uint64_t id, bool &committed);
+                      bool &committed) override;
 
-    /** Pessimistic fallback after repeated squashes (Section VI). */
+    /** Livelock escape: retry under the fallback token (Section VI). */
     sim::Task attemptPessimistic(ExecCtx ctx,
-                                 const txn::TxnProgram &prog);
-
-    /** Timed local read/write with eager L-L conflict detection. */
-    sim::Task localAccess(ExecCtx ctx, AttemptPtr at, AddrRange range,
-                          bool is_write);
+                                 const txn::TxnProgram &prog) override;
 
     /** Timed remote read/write (RDMA + NIC BF insertion at the home).
      *  @p record identifies the fetched record so a read can cache its
@@ -142,8 +183,26 @@ class HadesEngine : public TxnEngine
                            std::uint64_t record, AddrRange range,
                            bool is_write);
 
+    /** Buffer the value of a write to @p home, or serve a read: from
+     *  the write buffer (read-your-own-write), the remote fetch cache,
+     *  or -- for a record homed here -- ground truth. */
+    void bufferValue(const ExecCtx &ctx, Attempt &at,
+                     const txn::Request &req, NodeId home,
+                     std::vector<std::int64_t> &read_vals);
+
     /** The commit sequence of Table II (both sides). */
     sim::Task commit(ExecCtx ctx, AttemptPtr at);
+
+    /** Section V-A: stage the write set at the backups; their Acks
+     *  share the commit's ack counter. */
+    void stageReplicas(const ExecCtx &ctx, const AttemptPtr &at);
+
+    /** Post the Validation (with its updates) to every involved node. */
+    void postValidations(const ExecCtx &ctx, const AttemptPtr &at);
+
+    /** Promote staged replica images to permanent durable storage. */
+    void promoteReplicas(const ExecCtx &ctx, const AttemptPtr &at,
+                         std::uint64_t commit_seq);
 
     /** Process an Intend-to-commit at remote node @p y (NIC offload).
      *  Runs as a coroutine on y's lane; every structure it touches --
@@ -162,11 +221,17 @@ class HadesEngine : public TxnEngine
     sim::DetachedTask spawnIntendToCommit(NodeId y, AttemptPtr at,
                                           std::vector<Addr> write_lines);
 
-    /** Undo all speculative state of a squashed/finished attempt.
-     *  Fault-free the remote teardown is awaited (round trips), so the
-     *  next attempt epoch starts only after every involved node has
-     *  dropped this one's filters and locks. */
+    /** Undo all speculative state of a squashed attempt. Fault-free
+     *  the remote teardown is awaited (round trips), so the next
+     *  attempt epoch starts only after every involved node has dropped
+     *  this one's filters and locks. */
     sim::Task cleanupAborted(ExecCtx ctx, AttemptPtr at);
+
+    /** Drop the attempt's filters and locks at every involved node. */
+    sim::Task cleanupRemote(ExecCtx ctx, AttemptPtr at);
+
+    /** Abort message to the replica nodes: drop staged images. */
+    void discardReplicas(const ExecCtx &ctx, const AttemptPtr &at);
 
     /** Send one commit Ack from @p y back to the committer (idempotent
      *  at the receiver via Attempt::ackedBy). */
@@ -196,19 +261,18 @@ class HadesEngine : public TxnEngine
     bool probeFilter(const bloom::AddressFilter &bf, Addr line,
                      bool truth);
 
-    /** Registry of running local attempts, per node (Module 3 bank).
-     *  Ordered: eager conflict scans iterate a node's registry and
-     *  their enumeration order picks squash victims. */
+    /** Registry of running attempts, per node (Module 3 bank). The
+     *  hardware path's eager and lazy conflict scans iterate it, and
+     *  it keeps the AttemptControl the SquashRouter points to alive
+     *  after a NodeDead unwind (which skips the normal epilogue), so
+     *  recovery's in-doubt scan reads valid control blocks. The
+     *  software path needs only the latter, so without recovery it is
+     *  empty and nothing registers. Ordered: scan order picks squash
+     *  victims. */
     std::vector<std::map<std::uint64_t, AttemptPtr>> localTxns_;
 
-    /** Next per-context attempt epoch (keys WrTX IDs uniquely). */
-
-    /** Cluster-wide pessimistic-fallback token (Section VI), with its
-     *  holder so recovery can release it when the holder dies. */
-    bool tokenBusy_ = false;
-    NodeId tokenOwner_ = 0;
-
     txn::RecordLayout layout_;
+    std::unique_ptr<LocalPath> local_;
 };
 
 } // namespace hades::protocol

@@ -54,6 +54,16 @@ struct Request
      */
     int derivedFromReadIdx = -1;
     std::int64_t delta = 0;
+
+    /** The value a write stores, given this transaction's reads so far
+     *  (in order). */
+    std::int64_t
+    writtenValue(const std::vector<std::int64_t> &read_vals) const
+    {
+        return derivedFromReadIdx >= 0
+                   ? read_vals[std::size_t(derivedFromReadIdx)] + delta
+                   : delta;
+    }
 };
 
 /** A complete transaction description. */

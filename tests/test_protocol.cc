@@ -12,7 +12,6 @@
 #include "core/runner.hh"
 #include "protocol/baseline.hh"
 #include "protocol/hades.hh"
-#include "protocol/hades_hybrid.hh"
 #include "protocol/system.hh"
 #include "sim/task.hh"
 
