@@ -569,7 +569,9 @@ main(int argc, char **argv)
         std::printf("kernel        %u shards (%s), %lu window "
                     "barriers, %lu cross-shard events%s\n",
                     res.shardsUsed,
-                    res.shardsThreaded ? "threaded" : "deterministic",
+                    res.laneClosed       ? "threaded, lane-closed"
+                    : res.shardsThreaded ? "threaded"
+                                         : "deterministic",
                     (unsigned long)res.shardWindows,
                     (unsigned long)res.crossShardEvents,
                     res.serialRerun ? ", lock-mode serial re-run" : "");

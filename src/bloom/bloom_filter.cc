@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace hades::bloom
@@ -13,37 +12,30 @@ BloomFilter::BloomFilter(std::uint32_t bits, std::uint32_t num_hashes)
     : bits_(bits), numHashes_(num_hashes), words_((bits + 63) / 64, 0)
 {
     always_assert(bits >= 64, "Bloom filter too small");
+    always_assert(std::has_single_bit(bits),
+                  "Bloom filter size must be a power of two");
     always_assert(num_hashes >= 1, "need at least one hash function");
 }
 
-std::uint32_t
-BloomFilter::bitIndex(Addr line, std::uint32_t i) const
-{
-    // Double hashing: h_i = h1 + i*h2 (Kirsch-Mitzenmacher), with the two
-    // base hashes drawn from one CRC pass plus a mix, matching the cheap
-    // hardware derivation of multiple indices from a single hashed value.
-    std::uint64_t h1 = Crc64::hash(line);
-    std::uint64_t h2 = mix64(h1) | 1; // odd => full period
-    return static_cast<std::uint32_t>((h1 + std::uint64_t{i} * h2) % bits_);
-}
-
 void
-BloomFilter::insert(Addr line)
+BloomFilter::insert(const LineHash &h)
 {
+    const std::uint64_t h1 = h.h1(), h2 = h.h2();
     for (std::uint32_t i = 0; i < numHashes_; ++i) {
-        std::uint32_t b = bitIndex(line, i);
+        std::uint32_t b = bitIndex(h1, h2, i);
         words_[b / 64] |= std::uint64_t{1} << (b % 64);
     }
     ++inserted_;
 }
 
 bool
-BloomFilter::mayContain(Addr line) const
+BloomFilter::mayContain(const LineHash &h) const
 {
     if (inserted_ == 0)
         return false;
+    const std::uint64_t h1 = h.h1(), h2 = h.h2();
     for (std::uint32_t i = 0; i < numHashes_; ++i) {
-        std::uint32_t b = bitIndex(line, i);
+        std::uint32_t b = bitIndex(h1, h2, i);
         if (!(words_[b / 64] & (std::uint64_t{1} << (b % 64))))
             return false;
     }

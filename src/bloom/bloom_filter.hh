@@ -17,10 +17,56 @@
 #include <memory>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/types.hh"
 
 namespace hades::bloom
 {
+
+/**
+ * A cache-line address with the base hashes every k-index derives
+ * from: one CRC pass (h1) and its mix (h2, forced odd). The pass runs
+ * on first use, so a probe that rules the line out without hashing it
+ * (a clear WrBF2 bit) costs none, and every later probe of the same
+ * LineHash reuses it: one line is hashed once, the way the hardware
+ * derives all of a line's indices from a single hashed value.
+ */
+class LineHash
+{
+  public:
+    explicit constexpr LineHash(Addr line) : line_(line) {}
+
+    Addr line() const { return line_; }
+
+    std::uint64_t
+    h1() const
+    {
+        hash();
+        return h1_;
+    }
+
+    std::uint64_t
+    h2() const
+    {
+        hash();
+        return h2_;
+    }
+
+  private:
+    /** h2 is odd once computed, so zero marks "not hashed yet". */
+    void
+    hash() const
+    {
+        if (h2_ == 0) {
+            h1_ = Crc64::hash(line_);
+            h2_ = mix64(h1_) | 1; // odd => full period
+        }
+    }
+
+    Addr line_;
+    mutable std::uint64_t h1_ = 0;
+    mutable std::uint64_t h2_ = 0;
+};
 
 /** Abstract membership filter, so Locking Buffers can hold either the
  *  plain NIC filters or the split core write filters uniformly. */
@@ -29,9 +75,12 @@ class AddressFilter
   public:
     virtual ~AddressFilter() = default;
 
-    /** May the filter contain @p line? (false positives possible,
-     *  false negatives impossible). */
-    virtual bool mayContain(Addr line) const = 0;
+    /** May the filter contain the hashed line? (false positives
+     *  possible, false negatives impossible). */
+    virtual bool mayContain(const LineHash &h) const = 0;
+
+    /** May the filter contain @p line? */
+    bool mayContain(Addr line) const { return mayContain(LineHash(line)); }
 
     /** Deep copy (used when BFs are copied into a Locking Buffer). */
     virtual std::unique_ptr<AddressFilter> clone() const = 0;
@@ -41,20 +90,22 @@ class AddressFilter
 };
 
 /** Classic k-hash Bloom filter over cache-line addresses. */
-class BloomFilter : public AddressFilter
+class BloomFilter final : public AddressFilter
 {
   public:
     /**
-     * @param bits      filter size in bits (power of two recommended)
+     * @param bits      filter size in bits (a power of two, >= 64)
      * @param num_hashes number of hash functions (k)
      */
     explicit BloomFilter(std::uint32_t bits = 1024,
                          std::uint32_t num_hashes = 4);
 
     /** Insert a cache-line address. */
-    void insert(Addr line);
+    void insert(const LineHash &h);
+    void insert(Addr line) { insert(LineHash(line)); }
 
-    bool mayContain(Addr line) const override;
+    using AddressFilter::mayContain;
+    bool mayContain(const LineHash &h) const override;
     std::unique_ptr<AddressFilter> clone() const override;
     bool empty() const override { return inserted_ == 0; }
 
@@ -78,7 +129,14 @@ class BloomFilter : public AddressFilter
                                  std::uint32_t num_hashes, std::uint64_t n);
 
   private:
-    std::uint32_t bitIndex(Addr line, std::uint32_t i) const;
+    /** Double hashing: h_i = h1 + i*h2 (Kirsch-Mitzenmacher), reduced
+     *  modulo the power-of-two size by a mask. */
+    std::uint32_t
+    bitIndex(std::uint64_t h1, std::uint64_t h2, std::uint32_t i) const
+    {
+        return static_cast<std::uint32_t>(
+            (h1 + std::uint64_t{i} * h2) & (bits_ - 1));
+    }
 
     std::uint32_t bits_;
     std::uint32_t numHashes_;

@@ -33,13 +33,15 @@ LockingBufferBank::tryAcquire(std::uint64_t owner,
 
     // Check the incoming write addresses against every BF already
     // partially locking the directory (Section V-B): a hit means the two
-    // transactions cannot commit concurrently.
-    for (const auto &b : buffers_) {
-        if (!b.active || b.owner == owner)
-            continue;
-        for (Addr line : write_lines) {
-            if ((b.readBf && b.readBf->mayContain(line)) ||
-                (b.writeBf && b.writeBf->mayContain(line))) {
+    // transactions cannot commit concurrently. Each line is hashed once
+    // for all buffers.
+    for (Addr line : write_lines) {
+        const LineHash h(line);
+        for (const auto &b : buffers_) {
+            if (!b.active || b.owner == owner)
+                continue;
+            if ((b.readBf && b.readBf->mayContain(h)) ||
+                (b.writeBf && b.writeBf->mayContain(h))) {
                 ++acquireFailures_;
                 return AcquireResult::Conflict;
             }
@@ -91,20 +93,20 @@ LockingBufferBank::release(std::uint64_t owner)
 }
 
 bool
-LockingBufferBank::accessBlocked(Addr line, bool is_write,
+LockingBufferBank::accessBlocked(const LineHash &h, bool is_write,
                                  std::uint64_t requester) const
 {
     for (const auto &b : buffers_) {
         if (!b.active || b.owner == requester)
             continue;
         if (is_write) {
-            if ((b.readBf && b.readBf->mayContain(line)) ||
-                (b.writeBf && b.writeBf->mayContain(line))) {
+            if ((b.readBf && b.readBf->mayContain(h)) ||
+                (b.writeBf && b.writeBf->mayContain(h))) {
                 ++deniedAccesses_;
                 return true;
             }
         } else {
-            if (b.writeBf && b.writeBf->mayContain(line)) {
+            if (b.writeBf && b.writeBf->mayContain(h)) {
                 ++deniedAccesses_;
                 return true;
             }

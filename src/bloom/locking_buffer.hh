@@ -79,13 +79,21 @@ class LockingBufferBank
     void release(std::uint64_t owner);
 
     /**
-     * Would a directory access to @p line be denied right now?
+     * Would a directory access to the hashed line be denied right now?
      * Writes are checked against read+write BFs, reads against write BFs.
      * Buffers owned by @p requester are skipped (a committer can touch
-     * its own lines).
+     * its own lines). A caller that polls one line in a stall loop
+     * passes the same LineHash every time, so the line is hashed at
+     * most once.
      */
-    bool accessBlocked(Addr line, bool is_write,
+    bool accessBlocked(const LineHash &h, bool is_write,
                        std::uint64_t requester) const;
+
+    bool
+    accessBlocked(Addr line, bool is_write, std::uint64_t requester) const
+    {
+        return accessBlocked(LineHash(line), is_write, requester);
+    }
 
     /** Is @p owner currently holding a buffer? */
     bool held(std::uint64_t owner) const;

@@ -19,19 +19,19 @@ SplitWriteBloomFilter::SplitWriteBloomFilter(
 }
 
 void
-SplitWriteBloomFilter::insert(Addr line)
+SplitWriteBloomFilter::insert(const LineHash &h)
 {
-    bf1_.insert(line);
-    std::uint32_t bit = bf2BitOf(llcSetOf(line));
+    bf1_.insert(h);
+    std::uint32_t bit = bf2BitOf(llcSetOf(h.line()));
     bf2_[bit / 64] |= std::uint64_t{1} << (bit % 64);
 }
 
 bool
-SplitWriteBloomFilter::mayContain(Addr line) const
+SplitWriteBloomFilter::mayContain(const LineHash &h) const
 {
-    if (!bf2BitSet(bf2BitOf(llcSetOf(line))))
+    if (!bf2BitSet(bf2BitOf(llcSetOf(h.line()))))
         return false;
-    return bf1_.mayContain(line);
+    return bf1_.mayContain(h);
 }
 
 std::unique_ptr<AddressFilter>

@@ -26,7 +26,7 @@ namespace hades::bloom
 {
 
 /** WrBF1 (CRC) + WrBF2 (LLC-index mod size) write signature. */
-class SplitWriteBloomFilter : public AddressFilter
+class SplitWriteBloomFilter final : public AddressFilter
 {
   public:
     /**
@@ -37,9 +37,12 @@ class SplitWriteBloomFilter : public AddressFilter
     SplitWriteBloomFilter(const SplitWriteBloomParams &params,
                           std::uint64_t llc_sets);
 
-    void insert(Addr line);
+    void insert(const LineHash &h);
+    void insert(Addr line) { insert(LineHash(line)); }
 
-    bool mayContain(Addr line) const override;
+    using AddressFilter::mayContain;
+    /** Checks WrBF2 first; the line is hashed only on a WrBF2 hit. */
+    bool mayContain(const LineHash &h) const override;
     std::unique_ptr<AddressFilter> clone() const override;
     bool empty() const override { return bf1_.empty(); }
 

@@ -6,10 +6,11 @@
  * hashResult() folds every *semantic* RunResult field into one FNV-1a
  * digest: two runs are "the same run" iff their digests match. The
  * sharded-execution metadata block (shardsUsed, shardsThreaded,
- * shardWindows, crossShardEvents, serialRerun) is deliberately
- * excluded -- those fields describe how the run executed, not what it
- * computed, and the whole point of a differential harness is that
- * runs with different shard counts hash equal.
+ * laneClosed, shardWindows, crossShardEvents, serialRerun) is
+ * deliberately excluded -- those fields describe how the run
+ * executed, not what it computed, and the whole point of a
+ * differential harness is that runs with different shard counts hash
+ * equal.
  */
 
 #ifndef HADES_CORE_RESULT_HASH_HH_

@@ -240,6 +240,7 @@ runResultJson(const RunResult &res)
     field(out, "audit_checks", res.auditChecks);
     field(out, "shards_used", res.shardsUsed);
     fieldB(out, "shards_threaded", res.shardsThreaded);
+    fieldB(out, "lane_closed", res.laneClosed);
     field(out, "shard_windows", res.shardWindows);
     field(out, "cross_shard_events", res.crossShardEvents);
     fieldB(out, "serial_rerun", res.serialRerun);

@@ -156,6 +156,59 @@ certifiedForThreads(const RunSpec &spec)
     return true;
 }
 
+/** The random stream the driver of context @p ctx draws its
+ *  transactions from. The launch loop and the lane-closure replay both
+ *  seed through here, so the replay sees exactly the driver's
+ *  programs. */
+Rng
+contextRng(const ClusterConfig &cc, const ExecCtx &ctx)
+{
+    return Rng{cc.seed ^ (std::uint64_t(ctx.node) << 40) ^
+               (std::uint64_t(ctx.core) << 20) ^ ctx.slot};
+}
+
+/** Generator of the mix entry that drives core @p core: cores are split
+ *  into contiguous blocks, one block per mix entry. */
+std::size_t
+mixEntryOf(const ClusterConfig &cc, CoreId core, std::size_t entries)
+{
+    return (std::size_t(core) * entries) / cc.coresPerNode;
+}
+
+/**
+ * True when no event of the run can cross a kernel lane: every request
+ * of every context's program stream is homed on the context's own
+ * node. Exact, not a bound: it replays each driver's stream from a copy
+ * of the driver's own Rng (WorkloadGenerator::next is a pure function
+ * of (rng, node)), and stops at the first request homed elsewhere.
+ * Only meaningful for thread-certified specs, whose drivers issue
+ * exactly txnsPerContext programs and whose other subsystems (faults,
+ * recovery, replication, audit) are off. A wrong answer cannot pass
+ * silently: a cross-lane send inside the unbounded window panics
+ * ("lookahead violated").
+ */
+bool
+laneClosed(const RunSpec &spec, const mem::Placement &placement,
+           std::vector<std::unique_ptr<workload::WorkloadGenerator>> &gens)
+{
+    const auto &cc = spec.cluster;
+    for (NodeId n = 0; n < cc.numNodes; ++n) {
+        for (CoreId c = 0; c < cc.coresPerNode; ++c) {
+            auto &gen = *gens[mixEntryOf(cc, c, gens.size())];
+            for (SlotId s = 0; s < cc.slotsPerCore; ++s) {
+                Rng rng = contextRng(cc, ExecCtx{n, c, s});
+                for (std::uint64_t i = 0; i < spec.txnsPerContext; ++i) {
+                    const txn::TxnProgram prog = gen.next(rng, n);
+                    for (const txn::Request &r : prog.requests)
+                        if (placement.homeOf(r.record) != n)
+                            return false;
+                }
+            }
+        }
+    }
+    return true;
+}
+
 RunResult runOneImpl(const RunSpec &spec, bool force_deterministic);
 
 } // namespace
@@ -215,9 +268,16 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
                                  spec.cluster.recordPayloadBytes),
                spec.replication);
 
+    std::uint64_t base = 0;
+    for (auto &gen : gens) {
+        gen->bind(sys.placement, base);
+        base += gen->numRecords();
+    }
+
     // Select the execution mode before the first event is scheduled.
     // The window width is the conservative lookahead: no cross-node
-    // event can land sooner than half the NIC round trip.
+    // event can land sooner than half the NIC round trip. A lane-closed
+    // run has no cross-node event at all, so it needs no window.
     const std::uint32_t shards =
         std::max(1u, std::min(spec.shards, spec.cluster.numNodes));
     if (shards > 1) {
@@ -228,18 +288,14 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
             spec.cluster.netRoundTrip);
         plan.threaded =
             !force_deterministic && certifiedForThreads(spec);
-        if (plan.threaded) {
+        plan.laneClosed =
+            plan.threaded && laneClosed(spec, sys.placement, gens);
+        if (plan.threaded && !plan.laneClosed) {
             always_assert(
                 plan.windowTicks <= spec.cluster.netRoundTrip / 2,
                 "threaded window exceeds the network lookahead");
         }
         sys.kernel.configureSharding(plan);
-    }
-
-    std::uint64_t base = 0;
-    for (auto &gen : gens) {
-        gen->bind(sys.placement, base);
-        base += gen->numRecords();
     }
 
     auto engine = makeEngine(spec.engine, sys,
@@ -320,10 +376,10 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
             recov->setMembership(memb.get());
     }
 
-    // Launch one driver per hardware context. Cores are split into
-    // contiguous blocks, one block per mix entry. Pre-size the event
-    // queue for the steady state: a handful of in-flight events per
-    // context plus protocol fan-out headroom.
+    // Launch one driver per hardware context, each on its mix entry's
+    // generator (mixEntryOf). Pre-size the event queue for the steady
+    // state: a handful of in-flight events per context plus protocol
+    // fan-out headroom.
     const auto &cc = spec.cluster;
     sys.kernel.reserve(std::size_t{cc.numNodes} * cc.contextsPerNode() *
                            8 +
@@ -334,13 +390,10 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
         memb->start(std::uint64_t{cc.numNodes} * cc.contextsPerNode());
     for (NodeId n = 0; n < cc.numNodes; ++n) {
         for (CoreId c = 0; c < cc.coresPerNode; ++c) {
-            std::size_t w = (std::size_t(c) * gens.size()) /
-                            cc.coresPerNode;
+            auto &gen = *gens[mixEntryOf(cc, c, gens.size())];
             for (SlotId s = 0; s < cc.slotsPerCore; ++s) {
-                ExecCtx ctx{n, c, s};
-                Rng rng{cc.seed ^ (std::uint64_t(n) << 40) ^
-                        (std::uint64_t(c) << 20) ^ s};
-                driveContext(*engine, *gens[w], ctx, rng,
+                const ExecCtx ctx{n, c, s};
+                driveContext(*engine, gen, ctx, contextRng(cc, ctx),
                              spec.txnsPerContext, recov.get(),
                              memb.get());
             }
@@ -527,6 +580,7 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
         st.squashes[std::size_t(txn::SquashReason::CommitTimeout)];
     res.shardsUsed = sys.kernel.shards();
     res.shardsThreaded = sys.kernel.threaded();
+    res.laneClosed = sys.kernel.laneClosed();
     res.shardWindows = sys.kernel.windowBarriers();
     res.crossShardEvents = sys.kernel.crossShardEvents();
     return res;

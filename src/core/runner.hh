@@ -174,6 +174,7 @@ struct RunResult
      *  are excluded from determinism hashes). */
     std::uint32_t shardsUsed = 1;        //!< kernel lanes of the run
     bool shardsThreaded = false;         //!< worker threads were used
+    bool laneClosed = false;             //!< threaded, in one window
     std::uint64_t shardWindows = 0;      //!< window barriers crossed
     std::uint64_t crossShardEvents = 0;  //!< events that changed lanes
     /** The threaded executor hit the pessimistic lock-mode fallback and

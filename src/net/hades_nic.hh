@@ -137,11 +137,12 @@ class HadesNicState
                           bool check_reads) const
     {
         std::vector<std::uint64_t> out;
+        const bloom::LineHash h(line);
         for (const auto &[tx, f] : remote_) {
             if (tx == self)
                 continue;
-            bool hit = f.writeBf.mayContain(line) ||
-                       (check_reads && f.readBf.mayContain(line));
+            bool hit = f.writeBf.mayContain(h) ||
+                       (check_reads && f.readBf.mayContain(h));
             if (hit)
                 out.push_back(tx);
         }

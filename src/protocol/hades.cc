@@ -95,9 +95,10 @@ class HadesEngine::LocalPath
                                   std::vector<Addr> &write_lines) = 0;
 
     /** At remote node @p y, add the local transactions whose filters
-     *  hit @p line to @p victims. */
+     *  hit the hashed line to @p victims. */
     virtual void
-    localVictims(NodeId, std::uint64_t, Addr, std::vector<std::uint64_t> &)
+    localVictims(NodeId, std::uint64_t, const bloom::LineHash &,
+                 std::vector<std::uint64_t> &)
     {}
 
     /** After the last Ack, before the serialization point; throws
@@ -211,19 +212,21 @@ class HadesEngine::HwPath final : public LocalPath
     }
 
     void
-    localVictims(NodeId y, std::uint64_t committer, Addr line,
+    localVictims(NodeId y, std::uint64_t committer,
+                 const bloom::LineHash &lh,
                  std::vector<std::uint64_t> &victims) override
     {
         // Probe truth comes from the control blocks of y-homed
         // transactions, owned by y's lane.
+        const Addr line = lh.line();
         for (auto &[oid, other] : e_.localTxns_[y]) {
             if (oid == committer)
                 continue;
             bool truth_rd = other->ctrl.localReadLines.contains(line);
             bool truth_wr = other->ctrl.localWriteLines.contains(line);
             bool hit =
-                e_.probeFilter(other->localReadBf, line, truth_rd) ||
-                e_.probeFilter(other->writeFilter(), line, truth_wr);
+                e_.probeFilter(other->localReadBf, lh, truth_rd) ||
+                e_.probeFilter(other->writeFilter(), lh, truth_wr);
             if (hit)
                 victims.push_back(oid);
         }
@@ -317,8 +320,11 @@ HadesEngine::HwPath::localAccess(ExecCtx ctx, AttemptPtr at,
 
         // First access by this transaction: it must reach the
         // directory/LLC for conflict detection (Module 1 semantics).
+        // One LineHash serves the stall polls and every filter probe,
+        // so the line is hashed at most once.
+        const bloom::LineHash lh(line);
         int stall_guard = 0;
-        while (node.lockBank.accessBlocked(line, is_write, at->id)) {
+        while (node.lockBank.accessBlocked(lh, is_write, at->id)) {
             co_await sim::Delay{kernel, e_.cycles(sys_.config.llcCycles)};
             e_.checkSquash(at);
             always_assert(++stall_guard < 1000000,
@@ -345,20 +351,20 @@ HadesEngine::HwPath::localAccess(ExecCtx ctx, AttemptPtr at,
                 if (oid == at->id)
                     continue;
                 bool truth = other->ctrl.localReadLines.contains(line);
-                if (e_.probeFilter(other->localReadBf, line, truth)) {
+                if (e_.probeFilter(other->localReadBf, lh, truth)) {
                     if (guard_held)
                         node.lockBank.release(at->id);
                     throw Squashed{SquashReason::EagerLocalConflict};
                 }
             }
-            write_bf.insert(line);
+            write_bf.insert(lh);
             at->ctrl.localWriteLines.insert(line);
             llc.setWrTxId(line, at->id);
             at->recordedWr.insert(line);
             // An eviction squash fired by setWrTxId targets us directly.
             e_.checkSquash(at);
         } else {
-            at->localReadBf.insert(line);
+            at->localReadBf.insert(lh);
             at->ctrl.localReadLines.insert(line);
             at->recordedRd.insert(line);
         }
@@ -482,9 +488,11 @@ HadesEngine::SwPath::access(ExecCtx ctx, AttemptPtr at,
 
     // Software accesses still traverse the directory when they miss in
     // the private caches, so a partially locked directory stalls them.
+    // One LineHash serves every poll, so the line is hashed at most
+    // once.
+    const bloom::LineHash lh(lineAddr(base));
     int stall_guard = 0;
-    while (node.lockBank.accessBlocked(lineAddr(base), req.isWrite,
-                                       at->id)) {
+    while (node.lockBank.accessBlocked(lh, req.isWrite, at->id)) {
         co_await sim::Delay{kernel, e_.cycles(sys_.config.llcCycles)};
         e_.checkSquash(at);
         always_assert(++stall_guard < 1000000,
@@ -656,11 +664,11 @@ HadesEngine::kind() const
 }
 
 bool
-HadesEngine::probeFilter(const bloom::AddressFilter &bf, Addr line,
-                         bool truth)
+HadesEngine::probeFilter(const bloom::AddressFilter &bf,
+                         const bloom::LineHash &lh, bool truth)
 {
     st().bfConflictChecks += 1;
-    bool hit = bf.mayContain(line);
+    bool hit = bf.mayContain(lh);
     if (hit && !truth)
         st().bfFalsePositives += 1;
     if (sys_.audit)
@@ -882,12 +890,13 @@ HadesEngine::commit(ExecCtx ctx, AttemptPtr at)
     // probe ground truth -- both live at this node, on this lane.
     std::vector<std::uint64_t> victims;
     for (Addr line : local_write_lines) {
+        const bloom::LineHash lh(line);
         for (const auto &[k, filters] : node.nic.remote()) {
             if (k == id)
                 continue;
-            bool hit = probeFilter(filters.readBf, line,
+            bool hit = probeFilter(filters.readBf, lh,
                                    filters.readsContain(line)) ||
-                       probeFilter(filters.writeBf, line,
+                       probeFilter(filters.writeBf, lh,
                                    filters.writesContain(line));
             if (hit)
                 victims.push_back(k);
@@ -1255,17 +1264,18 @@ HadesEngine::handleIntendToCommit(NodeId y, AttemptPtr at,
     // conflicts with local transactions").
     std::vector<std::uint64_t> victims;
     for (Addr line : write_lines) {
+        const bloom::LineHash lh(line);
         for (const auto &[k, kf] : ynode.nic.remote()) {
             if (k == id)
                 continue;
-            bool hit = probeFilter(kf.readBf, line,
+            bool hit = probeFilter(kf.readBf, lh,
                                    kf.readsContain(line)) ||
-                       probeFilter(kf.writeBf, line,
+                       probeFilter(kf.writeBf, lh,
                                    kf.writesContain(line));
             if (hit)
                 victims.push_back(k);
         }
-        local_->localVictims(y, id, line, victims);
+        local_->localVictims(y, id, lh, victims);
     }
     std::sort(victims.begin(), victims.end());
     victims.erase(std::unique(victims.begin(), victims.end()),

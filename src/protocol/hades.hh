@@ -258,8 +258,8 @@ class HadesEngine : public TxnEngine
     }
 
     /** Probe one BF and account the check + false positives. */
-    bool probeFilter(const bloom::AddressFilter &bf, Addr line,
-                     bool truth);
+    bool probeFilter(const bloom::AddressFilter &bf,
+                     const bloom::LineHash &lh, bool truth);
 
     /** Registry of running attempts, per node (Module 3 bank). The
      *  hardware path's eager and lazy conflict scans iterate it, and

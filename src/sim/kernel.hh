@@ -34,7 +34,10 @@
  *    one barrier per window, and the last lane to arrive drains the
  *    mailboxes and opens the next window at the earliest pending
  *    event, skipping idle time. A cross-lane event scheduled *inside*
- *    the current window is a lookahead violation and panics.
+ *    the current window is a lookahead violation and panics. A run
+ *    the runner certifies lane-closed (ShardPlan::laneClosed) opens
+ *    one unbounded window instead: each lane runs to completion and
+ *    the run crosses no barrier.
  *    Identical results to the serial oracle follow from the
  *    shard-invariant key order plus lane-disjoint model state (the
  *    runner certifies specs before enabling this mode; see DESIGN.md
@@ -102,6 +105,11 @@ struct ShardPlan
     Tick windowTicks = 0;
     /** Execute lanes on worker threads (certified specs only). */
     bool threaded = false;
+    /** The runner proved that no event will cross a lane (every
+     *  context touches only records homed on its own node): a threaded
+     *  run then executes one unbounded window, each lane to completion,
+     *  and crosses no barrier. Ignored unless threaded. */
+    bool laneClosed = false;
 };
 
 /** The DES scheduler. */
@@ -132,8 +140,8 @@ class Kernel
 
     /**
      * Select the sharded execution mode. Must be called before any
-     * event is scheduled (the runner configures right after building
-     * the System).
+     * event is scheduled (the runner configures right after binding
+     * the generators to the System's placement).
      */
     void
     configureSharding(const ShardPlan &plan)
@@ -143,6 +151,7 @@ class Kernel
         always_assert(plan.shards >= 1, "need at least one shard");
         shards_ = plan.shards;
         threaded_ = plan.threaded && shards_ > 1;
+        laneClosed_ = threaded_ && plan.laneClosed;
         windowTicks_ = plan.windowTicks;
         if (shards_ > 1) {
             always_assert(windowTicks_ > 0,
@@ -212,6 +221,8 @@ class Kernel
     // --- Sharded-execution observability ---------------------------------
     std::uint32_t shards() const { return shards_; }
     bool threaded() const { return threaded_; }
+    /** A threaded run certified lane-closed (see ShardPlan). */
+    bool laneClosed() const { return laneClosed_; }
     Tick windowTicks() const { return windowTicks_; }
     /** Window barriers crossed (== windows entered beyond the first). */
     std::uint64_t windowBarriers() const { return barriers_; }
@@ -771,9 +782,12 @@ class Kernel
      * and open the window [t_min, t_min + W) at the earliest pending
      * event, skipping idle time. Skipping keeps the lookahead argument:
      * a cross-lane send from an event at t >= t_min lands at
-     * t + W >= windowEnd_. Runs on whichever lane arrived last, so it
-     * must not schedule events or read now(). Returns false once the
-     * run is finished (nothing pending, or stop() requested).
+     * t + W >= windowEnd_. A lane-closed run opens one unbounded
+     * window instead: its lanes never send to each other, and a send
+     * that would break that promise still hits the lookahead panic in
+     * scheduleAtAs(). Runs on whichever lane arrived last, so it must
+     * not schedule events or read now(). Returns false once the run is
+     * finished (nothing pending, or stop() requested).
      */
     bool
     openNextWindow()
@@ -790,7 +804,7 @@ class Kernel
         }
         if (!pending || stoppedNow())
             return false;
-        windowEnd_ = tmin + windowTicks_;
+        windowEnd_ = laneClosed_ ? kTickMax : tmin + windowTicks_;
         return true;
     }
 
@@ -863,6 +877,7 @@ class Kernel
 
     std::uint32_t shards_ = 1;
     bool threaded_ = false;
+    bool laneClosed_ = false;
     Tick windowTicks_ = 0;
     Tick windowEnd_ = 0;
     std::uint64_t barriers_ = 0;

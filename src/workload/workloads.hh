@@ -81,7 +81,18 @@ class WorkloadGenerator
     virtual void bind(mem::Placement &placement,
                       std::uint64_t record_base) = 0;
 
-    /** Generate the next transaction for a coordinator on @p node. */
+    /**
+     * Generate the next transaction for a coordinator on @p node.
+     *
+     * Must be a pure function of (@p rng, @p node): it may advance
+     * @p rng but must read no other mutable state and write none. The
+     * runner relies on this to replay each context's program stream at
+     * setup from a copy of the context's Rng when it certifies a run
+     * lane-closed (DESIGN.md section 11). A generator that breaks it
+     * makes the replayed run differ from the serial oracle, which
+     * Golden.PinnedDigestsMatchParent pins and the threaded
+     * differential tests compare against.
+     */
     virtual txn::TxnProgram next(Rng &rng, NodeId node) = 0;
 
   protected:

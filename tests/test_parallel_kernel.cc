@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -477,6 +478,29 @@ TEST(ShardPropertyDeathTest, ThreadedLookaheadViolationIsRefused)
         "lookahead violated");
 }
 
+TEST(ShardPropertyDeathTest, LaneClosedCrossLaneSendIsRefused)
+{
+    // A lane-closed run has one unbounded window, so every cross-lane
+    // send lands inside it -- even one far beyond the lookahead, which
+    // an ordinary threaded run would deliver at a barrier. A wrong
+    // lane-closure certificate therefore fails loudly.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            sim::Kernel k;
+            sim::ShardPlan plan;
+            plan.shards = 2;
+            plan.numNodes = 2;
+            plan.windowTicks = 100;
+            plan.threaded = true;
+            plan.laneClosed = true;
+            k.configureSharding(plan);
+            k.scheduleAs(0, 10, [&k] { k.scheduleAs(1, 100000, [] {}); });
+            k.run();
+        },
+        "lookahead violated");
+}
+
 // ===========================================================================
 // Differential harness: serial oracle vs --shards {2,4,8}
 // ===========================================================================
@@ -755,6 +779,15 @@ INSTANTIATE_TEST_SUITE_P(
 // Threaded-executor certification behavior
 // ===========================================================================
 
+/** The store each app runs on here: YCSB-E scans need an ordered
+ *  index, everything else uses the hash table. */
+kvs::StoreKind
+storeFor(workload::AppKind app)
+{
+    return app == workload::AppKind::YcsbE ? kvs::StoreKind::BPlusTree
+                                           : kvs::StoreKind::HashTable;
+}
+
 /** All-local OLTP spec that qualifies for worker threads. */
 core::RunSpec
 certifiedSpec(workload::AppKind app)
@@ -819,11 +852,9 @@ TEST(ShardThreaded, AdmittedShapesRunThreadedWithoutSerialRerun)
     };
     for (auto app : apps) {
         for (double frac : {-1.0, 1.0}) {
-            const auto store = app == AppKind::YcsbE
-                                   ? kvs::StoreKind::BPlusTree
-                                   : kvs::StoreKind::HashTable;
-            auto spec = messagingSpec(protocol::EngineKind::Hades,
-                                      {core::MixEntry{app, store}});
+            auto spec = messagingSpec(
+                protocol::EngineKind::Hades,
+                {core::MixEntry{app, storeFor(app)}});
             spec.cluster.forcedLocalFraction = frac;
             spec.txnsPerContext = 3; // breadth over depth
             spec.shards = 8;
@@ -907,6 +938,114 @@ TEST(ShardThreaded, LockModeFallbackTriggersDeterministicRerun)
         << "the threaded executor silently ran the lock-mode path";
     EXPECT_FALSE(res.shardsThreaded);
     EXPECT_EQ(hashResult(res), want);
+}
+
+// ===========================================================================
+// Lane-closed threaded runs: one unbounded window, no barrier
+// ===========================================================================
+
+TEST(ShardThreaded, LaneClosedRunsSkipEveryBarrier)
+{
+    // At forced-full locality these apps touch only records homed on
+    // the issuing node, so the runner certifies their runs lane-closed
+    // at setup: every lane runs to completion in one window, and the
+    // run must cross no barrier and still hash equal to the oracle.
+    using workload::AppKind;
+    for (auto engine : {protocol::EngineKind::Baseline,
+                        protocol::EngineKind::HadesHybrid,
+                        protocol::EngineKind::Hades}) {
+        for (auto app : {AppKind::Tpcc, AppKind::Tatp, AppKind::YcsbA,
+                         AppKind::YcsbB}) {
+            auto spec = certifiedSpec(app);
+            spec.engine = engine;
+            // Keep the optimistic path live: the lock-mode fallback's
+            // serial re-run is covered by its own test.
+            spec.cluster.tuning.maxSquashesBeforeLockMode = 10000;
+            const auto want = hashResult(core::runOne(spec));
+            for (std::uint32_t shards : {2u, 4u, 8u}) {
+                auto sharded = spec;
+                sharded.shards = shards;
+                const auto res = core::runOne(sharded);
+                const std::string tag =
+                    std::string(protocol::engineKindName(engine)) + "/" +
+                    workload::appKindName(app) +
+                    " shards=" + std::to_string(shards);
+                EXPECT_TRUE(res.shardsThreaded) << tag;
+                EXPECT_TRUE(res.laneClosed) << tag;
+                EXPECT_FALSE(res.serialRerun) << tag;
+                EXPECT_EQ(res.shardWindows, 0u)
+                    << tag << ": a lane-closed run crossed a barrier";
+                EXPECT_EQ(res.crossShardEvents, 0u) << tag;
+                EXPECT_EQ(hashResult(res), want)
+                    << tag << ": lane-closed run diverged from serial";
+            }
+        }
+    }
+}
+
+TEST(ShardThreaded, LaneClosureMatchesObservedTraffic)
+{
+    // The setup certificate against the traffic a run really makes: a
+    // run certified lane-closed must send no event across lanes on the
+    // deterministic executor, which counts every crossing. The table
+    // pins which shapes close. Smallbank leaves the node even at full
+    // locality (savings rows sit at savingsBase_ + a, and the b == a
+    // fallback picks a + 1); YCSB-E scans span homes; uniform
+    // placement always reaches remote records. Open runs keep their
+    // lookahead windows.
+    using workload::AppKind;
+    struct Row
+    {
+        AppKind app;
+        bool closedWhenLocal;
+    };
+    const Row rows[] = {
+        {AppKind::YcsbA, true},
+        {AppKind::YcsbB, true},
+        {AppKind::YcsbE, false},
+        {AppKind::YcsbWriteOnly, true},
+        {AppKind::YcsbHalf, true},
+        {AppKind::YcsbReadOnly, true},
+        {AppKind::Tpcc, true},
+        {AppKind::Tatp, true},
+        {AppKind::Smallbank, false},
+    };
+    for (const Row &row : rows) {
+        for (double frac : {1.0, -1.0}) {
+            auto spec = messagingSpec(
+                protocol::EngineKind::Hades,
+                {core::MixEntry{row.app, storeFor(row.app)}});
+            spec.cluster.forcedLocalFraction = frac;
+            spec.txnsPerContext = 3;
+            spec.shards = 4;
+            const std::string tag =
+                std::string(workload::appKindName(row.app)) +
+                (frac > 0 ? " local" : " uniform");
+            const auto threaded = core::runOne(spec);
+            ASSERT_TRUE(threaded.shardsThreaded) << tag;
+            auto det = spec;
+            det.cluster.sharding.forceDeterministic = true;
+            const auto merged = core::runOne(det);
+            EXPECT_FALSE(merged.laneClosed)
+                << tag << ": the deterministic executor keeps windows";
+            EXPECT_EQ(hashResult(threaded), hashResult(merged)) << tag;
+
+            const bool want_closed = frac > 0 && row.closedWhenLocal;
+            EXPECT_EQ(threaded.laneClosed, want_closed) << tag;
+            if (threaded.laneClosed) {
+                EXPECT_EQ(merged.crossShardEvents, 0u)
+                    << tag << ": certified lane-closed, yet events "
+                    << "crossed lanes";
+                EXPECT_EQ(threaded.shardWindows, 0u) << tag;
+            } else {
+                EXPECT_GT(merged.crossShardEvents, 0u)
+                    << tag << ": open run made no cross-lane traffic; "
+                    << "the certificate is too conservative here";
+                EXPECT_GT(threaded.shardWindows, 0u)
+                    << tag << ": an open run must keep its windows";
+            }
+        }
+    }
 }
 
 TEST(ShardThreaded, ShardCountClampsToClusterSize)
