@@ -11,10 +11,12 @@
  *   hades_sim_cli --engine hades --app smallbank --replication 2
  */
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "core/runner.hh"
 #include "sweep.hh"
@@ -553,130 +555,33 @@ main(int argc, char **argv)
                         txn::squashReasonName(txn::SquashReason(i)),
                         (unsigned long)res.stats.squashes[i]);
     }
-    std::printf("lock-mode     %lu fallbacks\n",
-                (unsigned long)res.stats.lockModeFallbacks);
-    std::printf("network       %lu messages, %.1f MB\n",
-                (unsigned long)res.stats.netMessages,
-                double(res.stats.netBytes) / 1e6);
-    std::printf("cpu           %.3f ms core-busy across the cluster\n",
-                double(res.stats.totalBusyTicks) /
-                    double(kMillisecond));
-    std::printf("footprint     max %lu lines read / %lu written per "
-                "txn\n",
-                (unsigned long)res.stats.maxLinesRead,
-                (unsigned long)res.stats.maxLinesWritten);
-    if (res.shardsUsed > 1)
-        std::printf("kernel        %u shards (%s), %lu window "
-                    "barriers, %lu cross-shard events%s\n",
-                    res.shardsUsed,
-                    res.laneClosed       ? "threaded, lane-closed"
-                    : res.shardsThreaded ? "threaded"
-                                         : "deterministic",
-                    (unsigned long)res.shardWindows,
-                    (unsigned long)res.crossShardEvents,
-                    res.serialRerun ? ", lock-mode serial re-run" : "");
     if (res.stats.bfConflictChecks)
-        std::printf("bloom         %lu checks, %lu false positives "
-                    "(%.4f%%)\n",
-                    (unsigned long)res.stats.bfConflictChecks,
-                    (unsigned long)res.stats.bfFalsePositives,
+        std::printf("bloom fp      %.4f%% of conflict checks\n",
                     100.0 * res.bfFalsePositiveRate);
-    if (spec.replication.degree)
-        std::printf("replication   %lu replicated commits, %lu aborts, "
-                    "%lu lost updates\n",
-                    (unsigned long)res.replicatedCommits,
-                    (unsigned long)res.replicationAborts,
-                    (unsigned long)res.lostReplicaMessages);
-    if (spec.cluster.faults.enabled) {
-        std::printf("faults        %lu drops (%lu crash, %lu "
-                    "partition), %lu dups, %lu delays, %lu nic "
-                    "stalls\n",
-                    (unsigned long)res.faultDrops,
-                    (unsigned long)res.faultCrashDrops,
-                    (unsigned long)res.partitionDrops,
-                    (unsigned long)res.faultDuplicates,
-                    (unsigned long)res.faultDelays,
-                    (unsigned long)res.faultNicStalls);
-        if (!spec.cluster.faults.partitions.empty())
-            std::printf("partitions    %lu windows, %lu healed "
-                        "in-run\n",
-                        (unsigned long)spec.cluster.faults.partitions
-                            .size(),
-                        (unsigned long)res.partitionHeals);
-        if (res.corruptDrops)
-            std::printf("corruption    %lu copies CRC-rejected at the "
-                        "NIC\n",
-                        (unsigned long)res.corruptDrops);
-        std::printf("recovery      %lu nic retransmits, %lu commit "
-                    "resends, %lu reliable resends, %lu timeout "
-                    "squashes\n",
-                    (unsigned long)res.netRetransmits,
-                    (unsigned long)res.timeoutResends,
-                    (unsigned long)res.reliableResends,
-                    (unsigned long)res.timeoutSquashes);
-        if (spec.cluster.faults.anyGrey())
-            std::printf("grey          %lu copies slowed, %lu "
-                        "straggler core reservations\n",
-                        (unsigned long)res.greyDelays,
-                        (unsigned long)res.stragglerReserves);
-    }
-    if (spec.cluster.slo.enabled) {
-        std::printf("slo           %lu samples, %lu suspect + %lu "
-                    "degraded transitions\n",
-                    (unsigned long)res.sloSamples,
-                    (unsigned long)res.sloSuspectTransitions,
-                    (unsigned long)res.sloDegradedTransitions);
-        std::printf("hedging       %lu hedged sends, %lu hedge wins, "
-                    "%lu quarantines\n",
-                    (unsigned long)res.hedgedSends,
-                    (unsigned long)res.hedgeWins,
-                    (unsigned long)res.quarantines);
-    }
-    if (spec.cluster.admission.enabled)
-        std::printf("admission     %lu admitted, %lu shed, %lu retry-"
-                    "budget deferrals\n",
-                    (unsigned long)res.admittedTxns,
-                    (unsigned long)res.shedTxns,
-                    (unsigned long)res.retryBudgetDeferrals);
-    if (res.recoveryEnabled) {
-        std::printf("crash-recov   %lu view changes, %lu records "
-                    "re-homed, %lu in-doubt committed + %lu aborted, "
-                    "%lu writes replayed, %lu images resynced, "
-                    "%lu stale msgs fenced\n",
-                    (unsigned long)res.viewChanges,
-                    (unsigned long)res.promotedRecords,
-                    (unsigned long)res.inDoubtCommitted,
-                    (unsigned long)res.inDoubtAborted,
-                    (unsigned long)res.replayedWrites,
-                    (unsigned long)res.resyncedImages,
-                    (unsigned long)res.fencedStaleMessages);
-        std::printf("cm group      %lu failovers, %lu quorum "
-                    "refusals, %lu stale lease grants, %lu divergent "
-                    "records, %lu lease probes\n",
-                    (unsigned long)res.cmFailovers,
-                    (unsigned long)res.quorumRefusals,
-                    (unsigned long)res.staleLeaseGrants,
-                    (unsigned long)res.divergentRecords,
-                    (unsigned long)res.leaseProbes);
-    }
-    if (res.membershipEnabled) {
-        std::printf("membership    %s: %lu records migrated in %lu "
-                    "batches, %lu joins completed, %lu drain-step "
-                    "events, %lu stale-placement retries\n",
-                    res.membershipComplete ? "complete" : "ABORTED",
-                    (unsigned long)res.recordsMigrated,
-                    (unsigned long)res.migrationBatches,
-                    (unsigned long)res.joinsCompleted,
-                    (unsigned long)res.drainDurationEvents,
-                    (unsigned long)res.stalePlacementRetries);
-    }
-    if (res.audited)
-        std::printf("audit         PASS: %lu commits + %lu aborts, "
-                    "%lu graph edges, %lu hardware checks\n",
-                    (unsigned long)res.auditedCommits,
-                    (unsigned long)res.auditedAborts,
-                    (unsigned long)res.auditGraphEdges,
-                    (unsigned long)res.auditChecks);
+
+    // Every scalar counter, one line per layer; a layer whose counters
+    // are all zero is left out.
+    constexpr auto kLayers = std::size_t(txn::CounterLayer::NumLayers);
+    std::array<std::string, kLayers> lines;
+    std::array<bool, kLayers> nonzero{};
+    auto counter = [&](const txn::CounterInfo &c, auto v) {
+        std::string &line = lines[std::size_t(c.layer)];
+        const std::string tag = std::string(" ") + c.key + "=";
+        if (line.find(tag) != std::string::npos)
+            return; // RunResult repeats some EngineStats counters
+        if constexpr (std::is_same_v<decltype(v), bool>)
+            line += tag + (v ? "true" : "false");
+        else
+            line += tag + std::to_string(v);
+        nonzero[std::size_t(c.layer)] |= v != 0;
+    };
+    txn::forEachStatsCounter(res.stats, counter);
+    core::forEachResultCounter(res, counter);
+    for (std::size_t i = 0; i < kLayers; ++i)
+        if (nonzero[i])
+            std::printf("%-13s%s\n",
+                        txn::counterLayerName(txn::CounterLayer(i)),
+                        lines[i].c_str());
     sweep.finish("hades_sim_cli");
     return 0;
 }

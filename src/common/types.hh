@@ -22,6 +22,11 @@ using Tick = std::int64_t;
 /** "Never" sentinel for Tick deadlines (e.g. permanent crashes). */
 inline constexpr Tick kTickMax = INT64_MAX;
 
+/** Short spellings of the counter types in the result-counter tables
+ *  (txn/txn_stats.hh, core/runner.hh). */
+using u64 = std::uint64_t;
+using u32 = std::uint32_t;
+
 /** Physical (simulated) byte address within a node's address space. */
 using Addr = std::uint64_t;
 

@@ -4,11 +4,10 @@
  * the chaos fuzzer's threaded-messaging differential.
  *
  * hashResult() folds every *semantic* RunResult field into one FNV-1a
- * digest: two runs are "the same run" iff their digests match. The
- * sharded-execution metadata block (shardsUsed, shardsThreaded,
- * laneClosed, shardWindows, crossShardEvents, serialRerun) is
- * deliberately excluded -- those fields describe how the run
- * executed, not what it computed, and the whole point of a
+ * digest: two runs are "the same run" iff their digests match. Counters
+ * marked Observed in the counter tables (runner.hh, txn_stats.hh) are
+ * deliberately excluded -- the sharded-execution metadata describes how
+ * the run executed, not what it computed, and the whole point of a
  * differential harness is that runs with different shard counts hash
  * equal.
  */
@@ -61,24 +60,17 @@ inline std::uint64_t
 hashResult(const RunResult &r)
 {
     ResultHasher h;
+    auto counter = [&h](const txn::CounterInfo &c, auto v) {
+        if (c.hashing == txn::Hashing::Hashed)
+            h.u64(static_cast<std::uint64_t>(v));
+    };
     h.str(r.label);
-    h.u64(r.stats.committed);
-    h.u64(r.stats.attempts);
-    h.u64(r.stats.lockModeFallbacks);
-    for (auto s : r.stats.squashes)
-        h.u64(s);
-    for (auto t : r.stats.overheadTicks)
-        h.u64(static_cast<std::uint64_t>(t));
-    h.u64(static_cast<std::uint64_t>(r.stats.totalBusyTicks));
-    h.u64(r.stats.bfConflictChecks);
-    h.u64(r.stats.bfFalsePositives);
-    h.u64(r.stats.maxLinesRead);
-    h.u64(r.stats.maxLinesWritten);
-    h.u64(r.stats.netMessages);
-    h.u64(r.stats.netBytes);
-    h.u64(r.stats.timeoutResends);
-    h.u64(r.stats.reliableResends);
-    h.u64(r.stats.retryBudgetDeferrals);
+    txn::forEachStatsCounter(r.stats, counter, [&] {
+        for (auto s : r.stats.squashes)
+            h.u64(s);
+        for (auto t : r.stats.overheadTicks)
+            h.u64(static_cast<std::uint64_t>(t));
+    });
     h.u64(static_cast<std::uint64_t>(r.simTime));
     h.d(r.throughputTps);
     h.d(r.meanLatencyUs);
@@ -93,57 +85,7 @@ hashResult(const RunResult &r)
     h.d(r.squashRate);
     h.d(r.evictionSquashRate);
     h.d(r.bfFalsePositiveRate);
-    h.u64(r.replicatedCommits);
-    h.u64(r.replicationAborts);
-    h.u64(r.lostReplicaMessages);
-    h.u64(r.faultDrops);
-    h.u64(r.faultDuplicates);
-    h.u64(r.faultDelays);
-    h.u64(r.faultNicStalls);
-    h.u64(r.faultCrashDrops);
-    h.u64(r.partitionDrops);
-    h.u64(r.partitionHeals);
-    h.u64(r.corruptDrops);
-    h.u64(r.netRetransmits);
-    h.u64(r.timeoutResends);
-    h.u64(r.reliableResends);
-    h.u64(r.timeoutSquashes);
-    h.u64(r.recoveryEnabled ? 1 : 0);
-    h.u64(r.leaseProbes);
-    h.u64(r.viewChanges);
-    h.u64(r.promotedRecords);
-    h.u64(r.inDoubtCommitted);
-    h.u64(r.inDoubtAborted);
-    h.u64(r.replayedWrites);
-    h.u64(r.resyncedImages);
-    h.u64(r.fencedStaleMessages);
-    h.u64(r.cmFailovers);
-    h.u64(r.quorumRefusals);
-    h.u64(r.staleLeaseGrants);
-    h.u64(r.divergentRecords);
-    h.u64(r.greyDelays);
-    h.u64(r.stragglerReserves);
-    h.u64(r.sloSamples);
-    h.u64(r.sloSuspectTransitions);
-    h.u64(r.sloDegradedTransitions);
-    h.u64(r.hedgedSends);
-    h.u64(r.hedgeWins);
-    h.u64(r.admittedTxns);
-    h.u64(r.shedTxns);
-    h.u64(r.retryBudgetDeferrals);
-    h.u64(r.quarantines);
-    h.u64(r.membershipEnabled ? 1 : 0);
-    h.u64(r.membershipComplete ? 1 : 0);
-    h.u64(r.recordsMigrated);
-    h.u64(r.migrationBatches);
-    h.u64(r.drainDurationEvents);
-    h.u64(r.joinsCompleted);
-    h.u64(r.stalePlacementRetries);
-    h.u64(r.audited ? 1 : 0);
-    h.u64(r.auditedCommits);
-    h.u64(r.auditedAborts);
-    h.u64(r.auditGraphEdges);
-    h.u64(r.auditChecks);
+    forEachResultCounter(r, counter);
     return h.value();
 }
 

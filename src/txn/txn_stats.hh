@@ -97,12 +97,105 @@ squashReasonName(SquashReason r)
     }
 }
 
+/** Where a counter belongs; the CLI prints one line per layer. */
+enum class CounterLayer : std::uint8_t
+{
+    Engine,
+    Net,
+    Replication,
+    Recovery,
+    Grey,
+    Membership,
+    Audit,
+    Executor,
+    NumLayers,
+};
+
+inline const char *
+counterLayerName(CounterLayer l)
+{
+    constexpr const char *kNames[] = {
+        "engine", "net",        "replication", "recovery",
+        "grey",   "membership", "audit",       "executor",
+    };
+    return kNames[static_cast<std::size_t>(l)];
+}
+
+/** Hashed counters are part of what a run computed and are folded into
+ *  core::hashResult; Observed ones describe only how it executed. */
+enum class Hashing : std::uint8_t
+{
+    Hashed,
+    Observed,
+};
+
+/** How EngineStats::merge combines one counter across engines. */
+enum class Merge : std::uint8_t
+{
+    Sum,
+    Max,
+};
+
+/** One counter-table entry, as the forEach*Counter visitors pass it. */
+struct CounterInfo
+{
+    const char *key;     //!< JSON key, also the CLI label
+    CounterLayer layer;  //!< CLI line the counter prints on
+    Hashing hashing;
+};
+
+/** A counter-table entry as a zero-initialized struct member. */
+#define HADES_COUNTER_MEMBER(T, name, ...) T name{};
+
+/** A counter-table entry of `obj` handed to the visitor `f`. */
+#define HADES_VISIT_COUNTER(T, name, key, layer, hashing, ...)               \
+    f(::hades::txn::CounterInfo{key, ::hades::txn::CounterLayer::layer,      \
+                                ::hades::txn::Hashing::hashing},             \
+      obj.name);
+
+// clang-format off
+/**
+ * The scalar counters of EngineStats, one entry each:
+ *
+ *   X(type, member, JSON key, layer, Hashed | Observed, Sum | Max)
+ *
+ * Each list generates the struct members (in this order), merge(), and
+ * through forEachStatsCounter() the hashResult() digest, the JSON
+ * "stats" object and the CLI counter lines. The list is split where
+ * the squash, latency and overhead aggregates sit in all of those.
+ */
+#define HADES_ENGINE_STATS_HEAD(X)                                            \
+    X(u64, committed, "committed", Engine, Hashed, Sum)                       \
+    X(u64, attempts, "attempts", Engine, Hashed, Sum)                         \
+    X(u64, lockModeFallbacks, "lock_mode_fallbacks", Engine, Hashed, Sum)
+
+#define HADES_ENGINE_STATS_TAIL(X)                                            \
+    /* Core busy time attributable to transactions (for Other Time). */       \
+    X(Tick, totalBusyTicks, "total_busy_ticks", Engine, Hashed, Sum)          \
+    /* Bloom filter conflict checks and measured false positives. */          \
+    X(u64, bfConflictChecks, "bf_conflict_checks", Engine, Hashed, Sum)       \
+    X(u64, bfFalsePositives, "bf_false_positives", Engine, Hashed, Sum)       \
+    /* Largest per-transaction cache-line footprints observed (Section        \
+     * VIII-C quotes at most 76 read / 40 written). */                        \
+    X(u64, maxLinesRead, "max_lines_read", Engine, Hashed, Max)               \
+    X(u64, maxLinesWritten, "max_lines_written", Engine, Hashed, Max)         \
+    /* Network message counts snapshot (filled by the runner). */             \
+    X(u64, netMessages, "net_messages", Net, Hashed, Sum)                     \
+    X(u64, netBytes, "net_bytes", Net, Hashed, Sum)                           \
+    /* Commit-phase resends after an Ack timeout, and reliable one-way        \
+     * resends (Validation/Squash/replica traffic) after a missing            \
+     * delivery confirmation; zero in fault-free runs. */                     \
+    X(u64, timeoutResends, "timeout_resends", Net, Hashed, Sum)               \
+    X(u64, reliableResends, "reliable_resends", Net, Hashed, Sum)             \
+    /* Squash retries paced because the node's admission-control retry        \
+     * budget was exhausted at the retry instant. */                          \
+    X(u64, retryBudgetDeferrals, "retry_budget_deferrals", Grey, Hashed, Sum)
+// clang-format on
+
 /** Aggregate statistics for one engine over one simulation. */
 struct EngineStats
 {
-    std::uint64_t committed = 0;
-    std::uint64_t attempts = 0;
-    std::uint64_t lockModeFallbacks = 0;
+    HADES_ENGINE_STATS_HEAD(HADES_COUNTER_MEMBER)
 
     std::array<std::uint64_t,
                static_cast<std::size_t>(SquashReason::NumReasons)>
@@ -122,31 +215,7 @@ struct EngineStats
                static_cast<std::size_t>(Overhead::NumCategories)>
         overheadTicks{};
 
-    /** Core busy time attributable to transactions (for Other Time). */
-    Tick totalBusyTicks = 0;
-
-    /** Bloom filter conflict checks and measured false positives. */
-    std::uint64_t bfConflictChecks = 0;
-    std::uint64_t bfFalsePositives = 0;
-
-    /** Largest per-transaction cache-line footprints observed
-     *  (Section VIII-C quotes at most 76 read / 40 written). */
-    std::uint64_t maxLinesRead = 0;
-    std::uint64_t maxLinesWritten = 0;
-
-    /** Network message counts snapshot (filled by the runner). */
-    std::uint64_t netMessages = 0;
-    std::uint64_t netBytes = 0;
-
-    /** Commit-phase message resends triggered by an Ack timeout
-     *  (fault recovery; always 0 in fault-free runs). */
-    std::uint64_t timeoutResends = 0;
-    /** Reliable one-way resends (Validation/Squash/replica traffic)
-     *  triggered by a missing delivery confirmation. */
-    std::uint64_t reliableResends = 0;
-    /** Squash retries paced because the node's admission-control
-     *  retry budget was exhausted at the retry instant. */
-    std::uint64_t retryBudgetDeferrals = 0;
+    HADES_ENGINE_STATS_TAIL(HADES_COUNTER_MEMBER)
 
     std::uint64_t
     totalSquashes() const
@@ -178,9 +247,11 @@ struct EngineStats
     void
     merge(const EngineStats &o)
     {
-        committed += o.committed;
-        attempts += o.attempts;
-        lockModeFallbacks += o.lockModeFallbacks;
+#define HADES_MERGE_COUNTER(T, name, key, layer, hashing, how)               \
+    name = Merge::how == Merge::Max ? std::max(name, o.name) : name + o.name;
+        HADES_ENGINE_STATS_HEAD(HADES_MERGE_COUNTER)
+        HADES_ENGINE_STATS_TAIL(HADES_MERGE_COUNTER)
+#undef HADES_MERGE_COUNTER
         for (std::size_t i = 0; i < squashes.size(); ++i)
             squashes[i] += o.squashes[i];
         latency.merge(o.latency);
@@ -189,18 +260,29 @@ struct EngineStats
         commitPhase.merge(o.commitPhase);
         for (std::size_t i = 0; i < overheadTicks.size(); ++i)
             overheadTicks[i] += o.overheadTicks[i];
-        totalBusyTicks += o.totalBusyTicks;
-        bfConflictChecks += o.bfConflictChecks;
-        bfFalsePositives += o.bfFalsePositives;
-        maxLinesRead = std::max(maxLinesRead, o.maxLinesRead);
-        maxLinesWritten = std::max(maxLinesWritten, o.maxLinesWritten);
-        netMessages += o.netMessages;
-        netBytes += o.netBytes;
-        timeoutResends += o.timeoutResends;
-        reliableResends += o.reliableResends;
-        retryBudgetDeferrals += o.retryBudgetDeferrals;
     }
 };
+
+/**
+ * Calls f(CounterInfo, counter) for every scalar counter of @p obj (an
+ * EngineStats, const or not) in table order, and between() at the
+ * place of the squash/latency/overhead aggregates.
+ */
+template <class Stats, class F, class Between>
+void
+forEachStatsCounter(Stats &obj, F &&f, Between &&between)
+{
+    HADES_ENGINE_STATS_HEAD(HADES_VISIT_COUNTER)
+    between();
+    HADES_ENGINE_STATS_TAIL(HADES_VISIT_COUNTER)
+}
+
+template <class Stats, class F>
+void
+forEachStatsCounter(Stats &obj, F &&f)
+{
+    forEachStatsCounter(obj, f, [] {});
+}
 
 } // namespace hades::txn
 

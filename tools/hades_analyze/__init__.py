@@ -13,13 +13,10 @@ invariants that regex lints cannot see:
   A3 epoch fencing     handlers that mutate view-changed state compare
                        a configuration epoch first (PR 4's stale-epoch
                        fencing rule).
-  A4 telemetry         every counter in RunResult/EngineStats reaches
-                       both the hades-sweep-v1 JSON emitter and the CLI
-                       summary, so counters cannot silently vanish.
 
-plus AST-accurate reimplementations of det-lint R3/R4 (unordered
-iteration, pointer-keyed ordering) without the same-file-declaration
-blind spot.
+plus R3X/R4X: iteration over unordered containers and pointer-keyed
+ordering, with range and key types resolved across files. They are the
+only checks for either hazard and honour `det-lint: ordered-ok`.
 
 Two interchangeable frontends produce the same semantic IR:
 

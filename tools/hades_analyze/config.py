@@ -1,10 +1,9 @@
 """HADES-specific facts the rules are parameterized on.
 
 Everything here is a *named system invariant* with a home in DESIGN.md:
-the lane-confinement discipline of section 11, the PR 4 epoch-fencing
-rules of section 9, and the hades-sweep-v1 telemetry contract of
-section 8. Keeping them in one module makes the encoded model of the
-system reviewable at a glance.
+the lane-confinement discipline of section 11 and the epoch-fencing
+rules of section 9. Keeping them in one module makes the encoded model
+of the system reviewable at a glance.
 """
 
 import re
@@ -48,11 +47,11 @@ A1_SETUP_FUNC_RE = re.compile(
     r"^(configure\w*|set[A-Z]\w*|reset\w*|init\w*|shard|attach\w*|"
     r"enable\w*|bind\w*|register\w*|reserve)$")
 
-# The runner and the CLI execute on the main thread outside
-# kernel.run() -- their own statements are prologue/epilogue, never
-# event context. driveContext is the exception (a coroutine that hops
-# onto a node lane), and so is any lambda they schedule.
-A1_RUNNER_FILES = ("src/core/", "examples/")
+# The runner executes on the main thread outside kernel.run() -- its
+# own statements are prologue/epilogue, never event context.
+# driveContext is the exception (a coroutine that hops onto a node
+# lane), and so is any lambda it schedules.
+A1_RUNNER_FILES = ("src/core/",)
 A1_RUNNER_EXCEPT = {"driveContext"}
 
 # --- A2 verb totality -------------------------------------------------------
@@ -98,32 +97,6 @@ A3_OWNER_CLASS_RE = re.compile(r"\bRecoveryManager\b")
 
 A3_EPOCH_RE = re.compile(r"epoch", re.IGNORECASE)
 
-# --- A4 telemetry conservation ---------------------------------------------
-
-# The JSON emitter every RunResult/EngineStats field must reach.
-A4_JSON_FUNC = "runResultJson"
-A4_JSON_FILE = "src/core/result_json.cc"
-# The CLI summary (every counter field must be printable there).
-A4_CLI_FILE = "examples/hades_sim_cli.cpp"
-
-A4_RESULT_CLASS = "RunResult"
-A4_STATS_CLASS = "EngineStats"
-
-# Scalar counter types that must reach both sinks. Aggregates
-# (Histogram, Accumulator, arrays) surface through derived fields and
-# are checked for JSON presence only.
-A4_COUNTER_TYPE_RE = re.compile(
-    r"(std::uint64_t|std::uint32_t|std::int64_t|bool|Tick)\s*$")
-
-# EngineStats members that surface through derived RunResult fields
-# instead of verbatim serialization.
-A4_DERIVED_STATS = {
-    "execPhase": "exec_us",
-    "validationPhase": "validation_us",
-    "commitPhase": "commit_us",
-    "overheadTicks": "overhead_share",
-}
-
 # --- R3X / R4X --------------------------------------------------------------
 
 R3_UNORDERED_RE = re.compile(
@@ -140,5 +113,5 @@ DET_LINT_OK_RE = re.compile(r"det-lint:\s*ordered-ok")
 
 ALL_RULES = (
     "lane-escape", "verb-totality", "verb-reliability", "epoch-fence",
-    "telemetry", "unordered-iter", "pointer-order", "suppression",
+    "unordered-iter", "pointer-order", "suppression",
 )

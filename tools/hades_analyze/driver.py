@@ -33,9 +33,6 @@ def collect_sources(repo):
                     full = os.path.join(dirpath, fname)
                     out.append(os.path.relpath(full, repo)
                                .replace(os.sep, "/"))
-    cli = C.A4_CLI_FILE
-    if os.path.exists(os.path.join(repo, cli)):
-        out.append(cli)
     return sorted(out)
 
 
@@ -90,8 +87,6 @@ def run_rules(index, selected):
         report["verbs"] = verbs
     if want("epoch-fence"):
         findings += R.rule_epoch_fence(index, supp)
-    if want("telemetry"):
-        findings += R.rule_telemetry(index, supp)
     if want("unordered-iter"):
         f, unresolved = R.rule_unordered_iter(index, supp)
         findings += f

@@ -15,7 +15,6 @@ lambdas the covered code creates (the lambda only exists in runs where
 its creator ran).
 """
 
-import os
 import re
 
 from . import config as C
@@ -412,6 +411,11 @@ def owner_class_of_write(index, resolver, fn, w, target_classes):
     return ""
 
 
+# Lambda names carry their source line (`<lambda:123>`); the inventory
+# drops it with the other line numbers.
+LAMBDA_LINE_RE = re.compile(r"<lambda:\d+>")
+
+
 def rule_lane_escape(index, supp):
     """A1: inventory every mutable field of the engine/network/recovery
     classes and prove each write is lane-confined; unexplained writes
@@ -439,7 +443,7 @@ def rule_lane_escape(index, supp):
             f_supp, f_just = supp.find(fld.file, fld.line, "lane-escape")
             ent[fld.name] = {
                 "type": fld.type_spelling,
-                "declared": "%s:%d" % (fld.file, fld.line),
+                "declared": fld.file,
                 "classification": classification,
                 "writes": [],
             }
@@ -473,8 +477,8 @@ def rule_lane_escape(index, supp):
                         C.A1_NODE_INDEX_RE.search(w.index_expr):
                     reason = "lane-sharded[%s]" % w.index_expr
             site = {
-                "at": "%s:%d" % (w.file, w.line),
-                "func": w.func,
+                "at": w.file,
+                "func": LAMBDA_LINE_RE.sub("<lambda>", w.func),
                 "expr": w.expr,
                 "context": reason or "ESCAPE",
             }
@@ -507,9 +511,13 @@ def rule_lane_escape(index, supp):
                 "with lane-escape-ok or route it through a per-node "
                 "accessor" % w.expr))
 
-    for cname, ent in inventory.items():
-        for fname, rec in ent.items():
-            rec["writes"].sort(key=lambda s: s["at"])
+    # Sites carry file paths, not lines, so a change that only moves
+    # code leaves the checked-in inventory untouched; sites that become
+    # identical merge.
+    for ent in inventory.values():
+        for rec in ent.values():
+            rec["writes"] = [dict(t) for t in sorted(
+                {tuple(sorted(s.items())) for s in rec["writes"]})]
     return findings, inventory
 
 
@@ -686,98 +694,6 @@ def rule_epoch_fence(index, supp):
                 "compare a configuration epoch (grant/cm/view) before "
                 "mutating, or annotate epoch-fence-ok naming the "
                 "fence that already covers delivery"))
-    return findings
-
-
-# --- A4: telemetry conservation ---------------------------------------------
-
-def sink_blob(index, files):
-    """Concatenated callee+arg+initializer spellings of every call and
-    local in @p files -- the set of expressions the
-    serializers/printers evaluate."""
-    parts = []
-    for fn in index.functions:
-        if fn.file not in files:
-            continue
-        for call in fn.calls:
-            parts.append(call.callee)
-            parts.extend(call.args)
-        for sw in fn.switches:
-            parts.append(sw.cond)
-        for rf in fn.ranged_fors:
-            parts.append(rf.range_expr)
-        for v in fn.locals:
-            parts.append(v.init)
-        for w in fn.writes:
-            parts.append(w.expr)
-    return "\n".join(parts)
-
-
-def raw_text(index, path):
-    full = os.path.join(getattr(index, "repo", "."), path)
-    try:
-        with open(full, "r", encoding="utf-8", errors="replace") as fh:
-            return fh.read()
-    except OSError:
-        return ""
-
-
-def rule_telemetry(index, supp):
-    """A4: every RunResult/EngineStats field must reach the JSON
-    emitter, and every scalar counter must also reach the CLI summary.
-    A counter that is bumped but never reported is telemetry lost."""
-    findings = []
-    json_blob = sink_blob(index, {C.A4_JSON_FILE})
-    cli_blob = sink_blob(index, {C.A4_CLI_FILE})
-    # Derived names (JSON keys like "overhead_share") are spelled in
-    # string literals the IR does not carry; check the raw source.
-    json_raw = raw_text(index, C.A4_JSON_FILE)
-    cli_raw = raw_text(index, C.A4_CLI_FILE)
-
-    def check(ci, in_cli_too):
-        for fld in ci.fields:
-            if fld.is_static or fld.is_const:
-                continue
-            pat = re.compile(r"[.>]\s*%s\b" % re.escape(fld.name))
-            derived = C.A4_DERIVED_STATS.get(fld.name)
-            in_json = bool(pat.search(json_blob)) or bool(
-                derived and derived in json_raw)
-            is_counter = bool(
-                C.A4_COUNTER_TYPE_RE.search(fld.type_spelling))
-            # The CLI is a printer: fields feed printf arguments and
-            # bare if-conditions the IR does not record, so a
-            # word-boundary spelling match in the file IS the
-            # conservation criterion there.
-            in_cli = (bool(pat.search(cli_blob))
-                      or bool(pat.search(cli_raw))
-                      or bool(derived and derived in cli_raw))
-            missing = []
-            if not in_json:
-                missing.append("JSON (%s)" % C.A4_JSON_FILE)
-            if in_cli_too and is_counter and not in_cli:
-                missing.append("CLI summary (%s)" % C.A4_CLI_FILE)
-            if not missing:
-                continue
-            ok, _ = supp.find(fld.file, fld.line, "telemetry")
-            if ok:
-                continue
-            findings.append(Finding(
-                "telemetry", fld.file, fld.line,
-                "%s::%s never reaches the %s"
-                % (ci.name.split("::")[-1], fld.name,
-                   " or ".join(missing)),
-                "counters must be conserved end to end: struct -> "
-                "runResultJson -> CLI; wire it through or annotate "
-                "telemetry-ok"))
-
-    for cname in (C.A4_RESULT_CLASS, C.A4_STATS_CLASS):
-        ci = index.classes.get(cname)
-        if ci is None:
-            findings.append(Finding(
-                "telemetry", "<config>", 0,
-                "telemetry class %s not found in the tree" % cname))
-            continue
-        check(ci, in_cli_too=True)
     return findings
 
 

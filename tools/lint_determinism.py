@@ -12,17 +12,6 @@ that historically break that contract:
   R2  wall-clock time: time(), gettimeofday, clock_gettime,
       std::chrono clocks. Simulated time comes from the kernel;
       src/common/time.hh owns the only permitted conversions.
-  R3  iteration over unordered containers: ranged-for over a variable
-      declared in the same file as std::unordered_map/unordered_set.
-      Hash-table iteration order is implementation-defined; if the loop
-      body feeds a protocol decision (squash victim choice, message
-      emission order) the run is no longer reproducible. Benign
-      aggregate loops are annotated with `det-lint: ordered-ok`.
-  R4  pointer-keyed ordering: std::map/std::set keyed by a pointer
-      type, or a std::priority_queue of pointers, order by address,
-      which varies run to run. The sharded kernel's lane heaps and
-      cross-shard mailboxes must key on (when, rank, seq) -- never on
-      the address of the event they carry.
   R5  thread identity as data: std::this_thread::get_id(),
       pthread_self(), gettid(), or a stored std::thread::id. Under
       the threaded shard executor the OS thread that runs a lane is
@@ -40,6 +29,10 @@ that historically break that contract:
       Derived *report* metrics (throughput, latency means) stay
       double: they are outputs, they never feed back into the
       simulation.
+
+Unordered-container iteration and pointer-keyed ordering are checked
+by hades-analyze (rules unordered-iter and pointer-order), which honours
+the same `det-lint: ordered-ok` markers.
 
 Suppression: append `// det-lint: ordered-ok` (any `det-lint:` marker)
 to the flagged line or the line directly above it.
@@ -70,21 +63,6 @@ R2_RE = re.compile(
     r"\bstd::chrono::(?:system|steady|high_resolution)_clock\b|"
     r"\b(?:gettimeofday|clock_gettime|localtime|gmtime)\s*\(|"
     r"(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0|&)"
-)
-
-UNORDERED_DECL_RE = re.compile(
-    r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<"
-)
-
-# `name` of a member/variable declared with an unordered type: last
-# identifier before ';', '=', '{' or '(' on the declaration statement.
-DECL_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:;|=|\{|\()")
-
-RANGED_FOR_RE = re.compile(r"\bfor\s*\(.*?:\s*\*?([A-Za-z_][\w.\->]*)\s*\)")
-
-R4_RE = re.compile(
-    r"\bstd::(?:map|set|multimap|multiset|priority_queue)\s*<\s*"
-    r"(?:const\s+)?[A-Za-z_][\w:]*\s*\*"
 )
 
 R5_RE = re.compile(
@@ -122,46 +100,10 @@ def strip_comments(line):
     return line.split("//", 1)[0]
 
 
-def unordered_names(lines):
-    """Names declared with an unordered container type in this file.
-
-    Heuristic: the declaration may span lines (template arguments
-    wrapped by the formatter), so scan a small window after the type
-    for the declared name.
-    """
-    names = set()
-    for i, line in enumerate(lines):
-        code = strip_comments(line)
-        if not UNORDERED_DECL_RE.search(code):
-            continue
-        if re.search(r"\busing\b|\btypedef\b", code):
-            continue
-        window = " ".join(
-            strip_comments(l) for l in lines[i : i + 4]
-        )
-        m = UNORDERED_DECL_RE.search(window)
-        tail = window[m.end():]
-        # Skip past the template argument list to the declared name.
-        depth = 1
-        pos = 0
-        while pos < len(tail) and depth > 0:
-            if tail[pos] == "<":
-                depth += 1
-            elif tail[pos] == ">":
-                depth -= 1
-            pos += 1
-        nm = DECL_NAME_RE.search(tail[pos:])
-        if nm:
-            names.add(nm.group(1))
-    return names
-
-
 def lint_file(path, rel, findings):
     text = path.read_text(encoding="utf-8", errors="replace")
     lines = text.splitlines()
     allowed = ALLOWLIST.get(rel, set())
-
-    names = unordered_names(lines)
 
     for i, raw in enumerate(lines):
         code = strip_comments(raw)
@@ -175,9 +117,6 @@ def lint_file(path, rel, findings):
             report("R1", "uncontrolled randomness; use common/rng.hh")
         if R2_RE.search(code):
             report("R2", "wall-clock time; simulated time only")
-        if R4_RE.search(code):
-            report("R4", "pointer-keyed ordering "
-                         "(orders by address)")
         if R5_RE.search(code):
             report("R5", "thread identity as data; lane identity "
                          "comes from laneOf(node), not the OS thread")
@@ -186,18 +125,6 @@ def lint_file(path, rel, findings):
                          "state; smoothed SLO/admission state must be "
                          "fixed-point (see the Q8 EWMA in "
                          "src/net/slo_tracker.hh)")
-        m = RANGED_FOR_RE.search(code)
-        if m:
-            target = m.group(1)
-            base = target.split(".")[-1].split("->")[-1]
-            if base in names or UNORDERED_DECL_RE.search(code):
-                report(
-                    "R3",
-                    "iteration over unordered container '%s'; order "
-                    "is implementation-defined -- use an ordered "
-                    "container or annotate det-lint: ordered-ok"
-                    % target,
-                )
 
 
 def main():
