@@ -583,6 +583,7 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
     res.laneClosed = sys.kernel.laneClosed();
     res.shardWindows = sys.kernel.windowBarriers();
     res.crossShardEvents = sys.kernel.crossShardEvents();
+    res.kernelEvents = sys.kernel.eventsRun();
     return res;
 }
 
