@@ -99,18 +99,10 @@ LockingBufferBank::accessBlocked(const LineHash &h, bool is_write,
     for (const auto &b : buffers_) {
         if (!b.active || b.owner == requester)
             continue;
-        if (is_write) {
-            if ((b.readBf && b.readBf->mayContain(h)) ||
-                (b.writeBf && b.writeBf->mayContain(h))) {
-                ++deniedAccesses_;
-                return true;
-            }
-        } else {
-            if (b.writeBf && b.writeBf->mayContain(h)) {
-                ++deniedAccesses_;
-                return true;
-            }
-        }
+        if (is_write && b.readBf && b.readBf->mayContain(h))
+            return true;
+        if (b.writeBf && b.writeBf->mayContain(h))
+            return true;
     }
     return false;
 }

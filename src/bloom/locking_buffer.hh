@@ -112,7 +112,6 @@ class LockingBufferBank
 
     // --- instrumentation --------------------------------------------------
     std::uint64_t acquireFailures() const { return acquireFailures_; }
-    std::uint64_t deniedAccesses() const { return deniedAccesses_; }
 
   private:
     struct Buffer
@@ -127,7 +126,6 @@ class LockingBufferBank
 
     std::vector<Buffer> buffers_;
     std::uint64_t acquireFailures_ = 0;
-    mutable std::uint64_t deniedAccesses_ = 0;
 };
 
 } // namespace hades::bloom

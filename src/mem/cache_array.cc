@@ -4,85 +4,48 @@ namespace hades::mem
 {
 
 CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways)
-    : sets_(size_bytes / (std::uint64_t{kCacheLineBytes} * ways)),
-      ways_(ways)
+    : tags_(size_bytes, ways)
 {
-    always_assert(sets_ >= 1, "cache has no sets");
-    array_.resize(sets_ * ways_);
-}
-
-CacheArray::Way *
-CacheArray::find(Addr line)
-{
-    Way *base = &array_[setOf(line) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].line == line)
-            return &base[w];
-    return nullptr;
-}
-
-const CacheArray::Way *
-CacheArray::find(Addr line) const
-{
-    return const_cast<CacheArray *>(this)->find(line);
-}
-
-bool
-CacheArray::probe(Addr line)
-{
-    if (Way *w = find(line)) {
-        w->lru = ++stamp_;
-        ++hits_;
-        return true;
-    }
-    ++misses_;
-    return false;
 }
 
 bool
 CacheArray::contains(Addr line) const
 {
-    return find(line) != nullptr;
+    return tags_.find(tags_.slotOf(line)) != TagArray::kNoWay;
 }
 
 std::optional<Addr>
 CacheArray::insert(Addr line)
 {
-    if (Way *w = find(line)) {
-        w->lru = ++stamp_;
+    const auto s = tags_.slotOf(line);
+    std::uint32_t w = tags_.find(s);
+    if (w != TagArray::kNoWay) {
+        tags_.touch(s.set, w);
         return std::nullopt;
     }
-    Way *base = &array_[setOf(line) * ways_];
-    Way *victim = &base[0];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
-    }
     std::optional<Addr> evicted;
-    if (victim->valid)
-        evicted = victim->line;
-    victim->valid = true;
-    victim->line = line;
-    victim->lru = ++stamp_;
+    w = tags_.freeWay(s.set);
+    if (w == TagArray::kNoWay) {
+        w = tags_.lruWay(s.set, tags_.allWays());
+        evicted = tags_.lineAt(s.set, w);
+    }
+    tags_.fill(s, w);
     return evicted;
 }
 
 void
 CacheArray::invalidate(Addr line)
 {
-    if (Way *w = find(line))
-        w->valid = false;
+    const auto s = tags_.slotOf(line);
+    const std::uint32_t w = tags_.find(s);
+    if (w != TagArray::kNoWay)
+        tags_.invalidate(s.set, w);
 }
 
 void
 CacheArray::clear()
 {
-    for (auto &w : array_)
-        w.valid = false;
+    tags_.clear();
 }
 
 } // namespace hades::mem

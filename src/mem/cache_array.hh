@@ -5,7 +5,8 @@
  * Used to model the private L1/L2 caches (per core) purely for latency:
  * the simulator tracks which lines are resident so that hit/miss outcomes
  * -- and therefore the L1/L2/LLC/DRAM latencies of Table III -- are
- * determined by the actual access stream.
+ * determined by the actual access stream. The layout is TagArray's
+ * (mem/tag_array.hh).
  */
 
 #ifndef HADES_MEM_CACHE_ARRAY_HH_
@@ -13,10 +14,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
-#include "common/log.hh"
 #include "common/types.hh"
+#include "mem/tag_array.hh"
 
 namespace hades::mem
 {
@@ -32,7 +32,7 @@ class CacheArray
     CacheArray(std::uint64_t size_bytes, std::uint32_t ways);
 
     /** Is @p line resident? Updates LRU on hit. */
-    bool probe(Addr line);
+    bool probe(Addr line) { return tags_.probe(line); }
 
     /** Is @p line resident? No LRU update (observation only). */
     bool contains(Addr line) const;
@@ -49,34 +49,17 @@ class CacheArray
     /** Drop everything. */
     void clear();
 
-    std::uint64_t numSets() const { return sets_; }
-    std::uint32_t ways() const { return ways_; }
+    std::uint64_t numSets() const { return tags_.numSets(); }
+    std::uint32_t ways() const { return tags_.ways(); }
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const { return tags_.hits(); }
+    std::uint64_t misses() const { return tags_.misses(); }
+
+    /** Bytes held by the tag arrays. */
+    std::uint64_t footprintBytes() const { return tags_.footprintBytes(); }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        Addr line = 0;
-        std::uint64_t lru = 0;
-    };
-
-    std::uint64_t setOf(Addr line) const
-    {
-        return (line / kCacheLineBytes) % sets_;
-    }
-
-    Way *find(Addr line);
-    const Way *find(Addr line) const;
-
-    std::uint64_t sets_;
-    std::uint32_t ways_;
-    std::vector<Way> array_;
-    std::uint64_t stamp_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    TagArray tags_;
 };
 
 } // namespace hades::mem

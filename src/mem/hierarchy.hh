@@ -8,7 +8,6 @@
 #ifndef HADES_MEM_HIERARCHY_HH_
 #define HADES_MEM_HIERARCHY_HH_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -49,11 +48,11 @@ class NodeMemory
           kernel_(kernel),
           llc_(cfg.llcBytesPerCore * cfg.coresPerNode, cfg.llcWays)
     {
+        l1_.reserve(cfg.coresPerNode);
+        l2_.reserve(cfg.coresPerNode);
         for (std::uint32_t c = 0; c < cfg.coresPerNode; ++c) {
-            l1_.push_back(std::make_unique<CacheArray>(cfg.l1.sizeBytes,
-                                                       cfg.l1.ways));
-            l2_.push_back(std::make_unique<CacheArray>(cfg.l2.sizeBytes,
-                                                       cfg.l2.ways));
+            l1_.emplace_back(cfg.l1.sizeBytes, cfg.l1.ways);
+            l2_.emplace_back(cfg.l2.sizeBytes, cfg.l2.ways);
         }
     }
 
@@ -71,8 +70,8 @@ class NodeMemory
     Access
     access(CoreId core, Addr line)
     {
-        auto &l1 = *l1_[core];
-        auto &l2 = *l2_[core];
+        auto &l1 = l1_[core];
+        auto &l2 = l2_[core];
         if (l1.probe(line))
             return {clock_.cycles(cfg_.l1.accessCycles), HitLevel::L1};
         if (l2.probe(line)) {
@@ -101,8 +100,8 @@ class NodeMemory
     std::optional<Access>
     cachedAccess(CoreId core, Addr line)
     {
-        auto &l1 = *l1_[core];
-        auto &l2 = *l2_[core];
+        auto &l1 = l1_[core];
+        auto &l2 = l2_[core];
         if (l1.probe(line))
             return Access{clock_.cycles(cfg_.l1.accessCycles),
                           HitLevel::L1};
@@ -142,8 +141,8 @@ class NodeMemory
     DramModel &dram() { return dram_; }
     const DramModel &dram() const { return dram_; }
 
-    CacheArray &l1(CoreId core) { return *l1_[core]; }
-    CacheArray &l2(CoreId core) { return *l2_[core]; }
+    CacheArray &l1(CoreId core) { return l1_[core]; }
+    CacheArray &l2(CoreId core) { return l2_[core]; }
 
   private:
     Tick
@@ -156,8 +155,8 @@ class NodeMemory
     const ClusterConfig &cfg_;
     Clock clock_;
     const sim::Kernel *kernel_;
-    std::vector<std::unique_ptr<CacheArray>> l1_;
-    std::vector<std::unique_ptr<CacheArray>> l2_;
+    std::vector<CacheArray> l1_;
+    std::vector<CacheArray> l2_;
     LlcDirectory llc_;
     DramModel dram_;
 };

@@ -8,121 +8,88 @@ namespace hades::mem
 {
 
 LlcDirectory::LlcDirectory(std::uint64_t size_bytes, std::uint32_t ways)
-    : sets_(size_bytes / (std::uint64_t{kCacheLineBytes} * ways)),
-      ways_(ways)
+    : tags_(size_bytes, ways), specWays_(tags_.numSets())
 {
-    always_assert(sets_ >= 1, "LLC has no sets");
-    array_.resize(sets_ * ways_);
-}
-
-LlcDirectory::Way *
-LlcDirectory::find(Addr line)
-{
-    Way *base = &array_[setOf(line) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].line == line)
-            return &base[w];
-    return nullptr;
-}
-
-const LlcDirectory::Way *
-LlcDirectory::find(Addr line) const
-{
-    return const_cast<LlcDirectory *>(this)->find(line);
-}
-
-bool
-LlcDirectory::probe(Addr line)
-{
-    if (Way *w = find(line)) {
-        w->lru = ++stamp_;
-        ++hits_;
-        return true;
-    }
-    ++misses_;
-    return false;
 }
 
 void
-LlcDirectory::evict(Way &victim)
+LlcDirectory::evict(std::uint64_t set, std::uint32_t way)
 {
-    if (victim.wrTxId != 0) {
-        // Evicting a speculatively-written line squashes its transaction
-        // (Section V-A, "Transaction Squash").
-        ++specEvictions_;
-        std::uint64_t owner = victim.wrTxId;
-        auto it = writers_.find(owner);
-        if (it != writers_.end()) {
-            it->second.erase(victim.line);
-            if (it->second.empty())
-                writers_.erase(it);
-        }
-        victim.wrTxId = 0;
-        victim.valid = false;
-        if (squashHook_)
-            squashHook_(owner);
-        return;
+    if (!(specWays_[set] & bit(way)))
+        return; // a clean victim is simply overwritten
+    // Evicting a speculatively-written line squashes its transaction
+    // (Section V-A, "Transaction Squash").
+    ++specEvictions_;
+    const Addr line = tags_.lineAt(set, way);
+    const auto tagged = wrTxIds_.find(line);
+    const std::uint64_t owner = tagged->second;
+    wrTxIds_.erase(tagged);
+    auto it = writers_.find(owner);
+    it->second.erase(line);
+    if (it->second.empty())
+        writers_.erase(it);
+    specWays_[set] &= ~bit(way);
+    tags_.invalidate(set, way);
+    if (squashHook_)
+        squashHook_(owner);
+}
+
+std::uint32_t
+LlcDirectory::place(const TagArray::Slot &s)
+{
+    std::uint32_t w = tags_.find(s);
+    if (w != TagArray::kNoWay) {
+        tags_.touch(s.set, w);
+        return w;
     }
-    victim.valid = false;
+    // A free way first; else the LRU way among non-speculative lines
+    // (TX-aware replacement); else every way is speculative and the LRU
+    // one is evicted, squashing its owner.
+    w = tags_.freeWay(s.set);
+    if (w == TagArray::kNoWay) {
+        const TagArray::WayMask spec = specWays_[s.set];
+        const TagArray::WayMask clean = tags_.allWays() & ~spec;
+        w = tags_.lruWay(s.set, clean ? clean : spec);
+        evict(s.set, w);
+    }
+    tags_.fill(s, w);
+    return w;
 }
 
 void
 LlcDirectory::insert(Addr line)
 {
-    if (Way *w = find(line)) {
-        w->lru = ++stamp_;
-        return;
-    }
-    Way *base = &array_[setOf(line) * ways_];
-    // Pass 1: a free way.
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            base[w] = Way{true, line, ++stamp_, 0};
-            return;
-        }
-    }
-    // Pass 2: LRU among non-speculative lines (TX-aware replacement).
-    Way *victim = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (base[w].wrTxId == 0 &&
-            (!victim || base[w].lru < victim->lru)) {
-            victim = &base[w];
-        }
-    }
-    // Pass 3: every way is speculative; evict the LRU one (squash).
-    if (!victim) {
-        victim = &base[0];
-        for (std::uint32_t w = 1; w < ways_; ++w)
-            if (base[w].lru < victim->lru)
-                victim = &base[w];
-    }
-    evict(*victim);
-    *victim = Way{true, line, ++stamp_, 0};
+    place(tags_.slotOf(line));
 }
 
 std::uint64_t
 LlcDirectory::wrTxIdOf(Addr line) const
 {
-    const Way *w = find(line);
-    return w ? w->wrTxId : 0;
+    const auto s = tags_.slotOf(line);
+    const std::uint32_t w = tags_.find(s);
+    if (w == TagArray::kNoWay || !(specWays_[s.set] & bit(w)))
+        return 0;
+    return wrTxIds_.at(line);
 }
 
 void
 LlcDirectory::setWrTxId(Addr line, std::uint64_t tx_id)
 {
     always_assert(tx_id != 0, "WrTX ID 0 is reserved for 'untagged'");
-    insert(line);
-    Way *w = find(line);
+    const auto s = tags_.slotOf(line);
     // If the insert itself squashed tx_id (pathological single-set
     // thrash), the caller will observe its own squash flag; still tag.
-    if (w->wrTxId != 0 && w->wrTxId != tx_id) {
+    const std::uint32_t w = place(s);
+    if (specWays_[s.set] & bit(w)) {
         // Overwriting another transaction's speculative line must have
         // been cleared by conflict detection first; treat as model bug.
-        panic("setWrTxId over a line tagged by another transaction");
+        if (wrTxIds_.at(line) != tx_id)
+            panic("setWrTxId over a line tagged by another transaction");
+        return;
     }
-    if (w->wrTxId == 0)
-        writers_[tx_id].insert(line);
-    w->wrTxId = tx_id;
+    specWays_[s.set] |= bit(w);
+    wrTxIds_.emplace(line, tx_id);
+    writers_[tx_id].insert(line);
 }
 
 std::vector<Addr>
@@ -154,11 +121,13 @@ LlcDirectory::clearTxTags(std::uint64_t tx_id, bool invalidate)
         return;
     // Per-line untag/invalidate is order-insensitive (no LRU stamps).
     for (Addr line : it->second) { // det-lint: ordered-ok
-        if (Way *w = find(line)) {
-            w->wrTxId = 0;
-            if (invalidate)
-                w->valid = false;
-        }
+        // Every tagged line is resident: evicting one drops its tag.
+        const auto s = tags_.slotOf(line);
+        const std::uint32_t w = tags_.find(s);
+        specWays_[s.set] &= ~bit(w);
+        if (invalidate)
+            tags_.invalidate(s.set, w);
+        wrTxIds_.erase(line);
     }
     writers_.erase(it);
 }

@@ -15,6 +15,9 @@
  *    WrTX ID. The hardware does this in parallel using the WrBF2 set
  *    groups; the model maintains an exact per-transaction index and the
  *    protocol engine charges the 80-120 cycle latency of Table III.
+ *
+ * The tags and LRU stamps use TagArray's compact layout; a per-set mask
+ * marks the speculative ways and a sparse map holds their WrTX IDs.
  */
 
 #ifndef HADES_MEM_LLC_DIRECTORY_HH_
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/tag_array.hh"
 
 namespace hades::mem
 {
@@ -44,7 +48,7 @@ class LlcDirectory
     void setSquashHook(SquashHook hook) { squashHook_ = std::move(hook); }
 
     /** Is @p line resident? Updates LRU on hit. */
-    bool probe(Addr line);
+    bool probe(Addr line) { return tags_.probe(line); }
 
     /**
      * Bring @p line in. TX-aware replacement: the victim is the LRU way
@@ -77,44 +81,46 @@ class LlcDirectory
      */
     void clearTxTags(std::uint64_t tx_id, bool invalidate);
 
-    std::uint64_t numSets() const { return sets_; }
-    std::uint32_t ways() const { return ways_; }
+    std::uint64_t numSets() const { return tags_.numSets(); }
+    std::uint32_t ways() const { return tags_.ways(); }
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const { return tags_.hits(); }
+    std::uint64_t misses() const { return tags_.misses(); }
     /** Count of speculative lines evicted (each squashed a transaction). */
     std::uint64_t speculativeEvictions() const { return specEvictions_; }
 
     /** Transactions with WrTX tags still in the array (leak checks). */
     std::size_t taggedTxCount() const { return writers_.size(); }
 
-  private:
-    struct Way
+    /** Bytes held by the tag arrays and the per-set speculative masks
+     *  (the sparse WrTX maps below are not counted). */
+    std::uint64_t
+    footprintBytes() const
     {
-        bool valid = false;
-        Addr line = 0;
-        std::uint64_t lru = 0;
-        std::uint64_t wrTxId = 0; //!< 0 = not speculatively written
-    };
-
-    std::uint64_t setOf(Addr line) const
-    {
-        return (line / kCacheLineBytes) % sets_;
+        return tags_.footprintBytes() +
+               numSets() * sizeof(TagArray::WayMask);
     }
 
-    Way *find(Addr line);
-    const Way *find(Addr line) const;
-    void evict(Way &victim);
+  private:
+    /** Bring @p s's line in (TX-aware replacement); returns its way. */
+    std::uint32_t place(const TagArray::Slot &s);
+    void evict(std::uint64_t set, std::uint32_t way);
 
-    std::uint64_t sets_;
-    std::uint32_t ways_;
-    std::vector<Way> array_;
-    std::uint64_t stamp_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    static TagArray::WayMask bit(std::uint32_t way)
+    {
+        return TagArray::WayMask{1} << way;
+    }
+
+    TagArray tags_;
+    /** Per set: bit w is set iff way w holds a speculatively written
+     *  line. The WrTX IDs themselves live in wrTxIds_. */
+    ZeroedArray<TagArray::WayMask> specWays_;
     std::uint64_t specEvictions_ = 0;
     SquashHook squashHook_;
 
+    /** WrTX ID of every speculatively written line. Sparse: only HADES
+     *  tags lines, and a transaction holds few at a time. */
+    std::unordered_map<Addr, std::uint64_t> wrTxIds_;
     /** Exact index: packed WrTX ID -> tagged lines (model-side stand-in
      *  for the parallel WrBF2-driven tag match of Figure 8). */
     std::unordered_map<std::uint64_t, std::unordered_set<Addr>> writers_;

@@ -206,14 +206,16 @@ TEST(BloomProperty, LockingBufferBankMatchesExactShadowModel)
                             return b.reads.count(a) || b.writes.count(a);
                         });
                 });
-            if (true_overlap)
+            if (true_overlap) {
                 EXPECT_NE(res, bloom::AcquireResult::Acquired)
                     << "op " << op
                     << ": a truly overlapping committer slipped past "
                        "the Locking Buffer check";
-            if (bank_full)
+            }
+            if (bank_full) {
                 EXPECT_NE(res, bloom::AcquireResult::Acquired)
                     << "op " << op << ": acquired from a full bank";
+            }
             if (res == bloom::AcquireResult::Acquired)
                 shadow.push_back(ShadowBuffer{owner, std::move(reads),
                                               std::move(writes)});
@@ -235,14 +237,16 @@ TEST(BloomProperty, LockingBufferBankMatchesExactShadowModel)
                 EXPECT_TRUE(bank.accessBlocked(a, true, stranger))
                     << "write of a buffered read line was allowed";
             // The owner itself is never blocked by its own buffer.
-            for (Addr a : b.writes)
+            for (Addr a : b.writes) {
                 if (std::none_of(shadow.begin(), shadow.end(),
                                  [&](const auto &o) {
                                      return o.owner != b.owner &&
                                             (o.reads.count(a) ||
                                              o.writes.count(a));
-                                 }))
+                                 })) {
                     EXPECT_FALSE(bank.accessBlocked(a, true, b.owner));
+                }
+            }
         }
     }
 }

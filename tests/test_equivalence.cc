@@ -274,7 +274,7 @@ class ConservationSweep : public ::testing::TestWithParam<SweepCase>
 {};
 
 sim::DetachedTask
-transferLoop(System &sys, TxnEngine &engine, ExecCtx ctx,
+transferLoop(TxnEngine &engine, ExecCtx ctx,
              std::uint64_t records, std::uint64_t seed,
              std::uint64_t txns)
 {
@@ -331,7 +331,7 @@ TEST_P(ConservationSweep, TotalBalancePreserved)
     for (NodeId n = 0; n < cfg.numNodes; ++n)
         for (CoreId c = 0; c < cfg.coresPerNode; ++c)
             for (SlotId s = 0; s < cfg.slotsPerCore; ++s) {
-                transferLoop(sys, *engine, ExecCtx{n, c, s}, kRecords,
+                transferLoop(*engine, ExecCtx{n, c, s}, kRecords,
                              seed++, kTxns);
                 ++contexts;
             }

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/rng.hh"
 #include "mem/address_space.hh"
 #include "mem/cache_array.hh"
 #include "mem/hierarchy.hh"
@@ -197,6 +202,405 @@ TEST(NodeMemory, NicAccessBypassesPrivateCaches)
     EXPECT_EQ(second.level, HitLevel::LLC);
     // The line is not in any core's private hierarchy.
     EXPECT_FALSE(mem.l1(0).contains(0x2000));
+}
+
+TEST(TagLayout, AtMostTwelveBytesPerModelledLine)
+{
+    ClusterConfig cfg;
+    NodeMemory mem{cfg};
+    const auto lines = [](auto &a) { return a.numSets() * a.ways(); };
+    EXPECT_LE(mem.llc().footprintBytes(), 12 * lines(mem.llc()));
+    EXPECT_LE(mem.l1(0).footprintBytes(), 12 * lines(mem.l1(0)));
+    EXPECT_LE(mem.l2(0).footprintBytes(), 12 * lines(mem.l2(0)));
+}
+
+// --- differential: compact tag layout vs array-of-structs reference ---------
+
+/** The array-of-structs CacheArray the compact layout replaced: one
+ *  {valid, line, lru} record per way and one array-wide LRU stamp. */
+class RefCacheArray
+{
+  public:
+    RefCacheArray(std::uint64_t size_bytes, std::uint32_t ways)
+        : sets_(size_bytes / (std::uint64_t{kCacheLineBytes} * ways)),
+          ways_(ways), array_(sets_ * ways_)
+    {
+    }
+
+    bool
+    probe(Addr line)
+    {
+        if (Way *w = find(line)) {
+            w->lru = ++stamp_;
+            ++hits_;
+            return true;
+        }
+        ++misses_;
+        return false;
+    }
+
+    bool contains(Addr line) { return find(line) != nullptr; }
+
+    std::optional<Addr>
+    insert(Addr line)
+    {
+        if (Way *w = find(line)) {
+            w->lru = ++stamp_;
+            return std::nullopt;
+        }
+        Way *base = &array_[setOf(line) * ways_];
+        Way *victim = &base[0];
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].lru < victim->lru)
+                victim = &base[w];
+        }
+        std::optional<Addr> evicted;
+        if (victim->valid)
+            evicted = victim->line;
+        *victim = Way{true, line, ++stamp_};
+        return evicted;
+    }
+
+    void
+    invalidate(Addr line)
+    {
+        if (Way *w = find(line))
+            w->valid = false;
+    }
+
+    void
+    clear()
+    {
+        for (auto &w : array_)
+            w.valid = false;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr line = 0;
+        std::uint64_t lru = 0;
+    };
+
+    std::uint64_t setOf(Addr line) const
+    {
+        return (line / kCacheLineBytes) % sets_;
+    }
+
+    Way *
+    find(Addr line)
+    {
+        Way *base = &array_[setOf(line) * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].line == line)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    std::uint32_t ways_;
+    std::vector<Way> array_;
+    std::uint64_t stamp_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+/** The array-of-structs LlcDirectory the compact layout replaced: a
+ *  64-bit WrTX ID in every way, TX-aware replacement over it. */
+class RefLlcDirectory
+{
+  public:
+    RefLlcDirectory(std::uint64_t size_bytes, std::uint32_t ways,
+                    std::vector<std::uint64_t> &squashed)
+        : sets_(size_bytes / (std::uint64_t{kCacheLineBytes} * ways)),
+          ways_(ways), array_(sets_ * ways_), squashed_(squashed)
+    {
+    }
+
+    bool
+    probe(Addr line)
+    {
+        if (Way *w = find(line)) {
+            w->lru = ++stamp_;
+            ++hits_;
+            return true;
+        }
+        ++misses_;
+        return false;
+    }
+
+    void
+    insert(Addr line)
+    {
+        if (Way *w = find(line)) {
+            w->lru = ++stamp_;
+            return;
+        }
+        Way *base = &array_[setOf(line) * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!base[w].valid) {
+                base[w] = Way{true, line, ++stamp_, 0};
+                return;
+            }
+        }
+        Way *victim = nullptr;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (base[w].wrTxId == 0 &&
+                (!victim || base[w].lru < victim->lru)) {
+                victim = &base[w];
+            }
+        }
+        if (!victim) {
+            victim = &base[0];
+            for (std::uint32_t w = 1; w < ways_; ++w)
+                if (base[w].lru < victim->lru)
+                    victim = &base[w];
+        }
+        if (victim->wrTxId != 0) {
+            ++specEvictions_;
+            const std::uint64_t owner = victim->wrTxId;
+            auto it = writers_.find(owner);
+            it->second.erase(victim->line);
+            if (it->second.empty())
+                writers_.erase(it);
+            squashed_.push_back(owner);
+        }
+        *victim = Way{true, line, ++stamp_, 0};
+    }
+
+    std::uint64_t
+    wrTxIdOf(Addr line)
+    {
+        const Way *w = find(line);
+        return w ? w->wrTxId : 0;
+    }
+
+    void
+    setWrTxId(Addr line, std::uint64_t tx_id)
+    {
+        insert(line);
+        Way *w = find(line);
+        if (w->wrTxId == 0)
+            writers_[tx_id].insert(line);
+        w->wrTxId = tx_id;
+    }
+
+    std::vector<Addr>
+    linesWrittenBy(std::uint64_t tx_id) const
+    {
+        std::vector<Addr> out;
+        auto it = writers_.find(tx_id);
+        if (it == writers_.end())
+            return out;
+        // det-lint: ordered-ok (sorted below)
+        out.assign(it->second.begin(), it->second.end());
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+    void
+    clearTxTags(std::uint64_t tx_id, bool invalidate)
+    {
+        auto it = writers_.find(tx_id);
+        if (it == writers_.end())
+            return;
+        for (Addr line : it->second) { // det-lint: ordered-ok
+            if (Way *w = find(line)) {
+                w->wrTxId = 0;
+                if (invalidate)
+                    w->valid = false;
+            }
+        }
+        writers_.erase(it);
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t speculativeEvictions() const { return specEvictions_; }
+    std::size_t taggedTxCount() const { return writers_.size(); }
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr line = 0;
+        std::uint64_t lru = 0;
+        std::uint64_t wrTxId = 0;
+    };
+
+    std::uint64_t setOf(Addr line) const
+    {
+        return (line / kCacheLineBytes) % sets_;
+    }
+
+    Way *
+    find(Addr line)
+    {
+        Way *base = &array_[setOf(line) * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].line == line)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    std::uint32_t ways_;
+    std::vector<Way> array_;
+    std::uint64_t stamp_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t specEvictions_ = 0;
+    std::vector<std::uint64_t> &squashed_;
+    std::unordered_map<std::uint64_t, std::unordered_set<Addr>> writers_;
+};
+
+/** A tag array's geometry for the differential runs. */
+struct Geometry
+{
+    std::uint64_t sets;
+    std::uint32_t ways;
+
+    std::uint64_t bytes() const { return sets * ways * kCacheLineBytes; }
+};
+
+/** Small geometries (sets a power of two and not; the widest masks) so
+ *  every set fills, evicts and wraps its 16-bit LRU clock many times. */
+const Geometry kDiffGeometries[] = {{1, 4}, {3, 4}, {2, 8}, {5, 16}, {1, 32}};
+
+/** Line addresses homed on several nodes (bits >= kNodeShift): on an
+ *  array with few sets their tags exceed 32 bits. */
+std::vector<Addr>
+diffLines(const Geometry &g)
+{
+    std::vector<Addr> lines;
+    for (Addr node : {0, 1, 7, 99})
+        for (std::uint64_t i = 0; i < 3 * g.sets * g.ways; ++i)
+            lines.push_back((node << kNodeShift) + i * kCacheLineBytes);
+    return lines;
+}
+
+constexpr int kDiffOps = 300'000;
+
+TEST(TagLayoutDifferential, CacheArrayMatchesArrayOfStructs)
+{
+    for (const Geometry &g : kDiffGeometries) {
+        SCOPED_TRACE(testing::Message() << g.sets << "x" << g.ways);
+        CacheArray dut{g.bytes(), g.ways};
+        RefCacheArray ref{g.bytes(), g.ways};
+        ASSERT_EQ(dut.numSets(), g.sets);
+        const auto lines = diffLines(g);
+        Rng rng{0xcace + g.sets * 64 + g.ways};
+        for (int op = 0; op < kDiffOps; ++op) {
+            const Addr line = lines[rng.below(lines.size())];
+            const std::uint64_t kind = rng.below(1000);
+            if (kind < 400) {
+                ASSERT_EQ(dut.probe(line), ref.probe(line)) << "op " << op;
+            } else if (kind < 850) {
+                ASSERT_EQ(dut.insert(line), ref.insert(line)) << "op " << op;
+            } else if (kind < 930) {
+                ASSERT_EQ(dut.contains(line), ref.contains(line))
+                    << "op " << op;
+            } else if (kind < 999) {
+                dut.invalidate(line);
+                ref.invalidate(line);
+            } else {
+                dut.clear();
+                ref.clear();
+            }
+            ASSERT_EQ(dut.hits(), ref.hits()) << "op " << op;
+            ASSERT_EQ(dut.misses(), ref.misses()) << "op " << op;
+            if (op % 1024 == 0) {
+                for (Addr l : lines)
+                    ASSERT_EQ(dut.contains(l), ref.contains(l))
+                        << "op " << op;
+            }
+        }
+    }
+}
+
+TEST(TagLayoutDifferential, LlcDirectoryMatchesArrayOfStructs)
+{
+    constexpr std::uint64_t kTxns = 12;
+    for (const Geometry &g : kDiffGeometries) {
+        SCOPED_TRACE(testing::Message() << g.sets << "x" << g.ways);
+        std::vector<std::uint64_t> dut_squashed, ref_squashed;
+        LlcDirectory dut{g.bytes(), g.ways};
+        dut.setSquashHook(
+            [&](std::uint64_t tx) { dut_squashed.push_back(tx); });
+        RefLlcDirectory ref{g.bytes(), g.ways, ref_squashed};
+        ASSERT_EQ(dut.numSets(), g.sets);
+        const auto lines = diffLines(g);
+        Rng rng{0x11c + g.sets * 64 + g.ways};
+        std::uint64_t commits = 0, squashes = 0;
+        for (int op = 0; op < kDiffOps; ++op) {
+            const Addr line = lines[rng.below(lines.size())];
+            const std::uint64_t tx = 1 + rng.below(kTxns);
+            const std::uint64_t kind = rng.below(100);
+            if (kind < 25) {
+                ASSERT_EQ(dut.probe(line), ref.probe(line)) << "op " << op;
+            } else if (kind < 45) {
+                dut.insert(line);
+                ref.insert(line);
+            } else if (kind < 55) {
+                ASSERT_EQ(dut.wrTxIdOf(line), ref.wrTxIdOf(line))
+                    << "op " << op;
+            } else if (kind < 92) {
+                // A line another transaction tagged is a conflict the
+                // protocol squashes before it tags; mirror that.
+                const std::uint64_t owner = ref.wrTxIdOf(line);
+                if (owner == 0 || owner == tx) {
+                    dut.setWrTxId(line, tx);
+                    ref.setWrTxId(line, tx);
+                }
+            } else {
+                const bool squash = rng.below(2) == 0;
+                ASSERT_EQ(dut.linesWrittenBy(tx), ref.linesWrittenBy(tx))
+                    << "op " << op;
+                dut.clearTxTags(tx, squash);
+                ref.clearTxTags(tx, squash);
+                ++(squash ? squashes : commits);
+            }
+            ASSERT_EQ(dut_squashed, ref_squashed) << "op " << op;
+            dut_squashed.clear();
+            ref_squashed.clear();
+            ASSERT_EQ(dut.hits(), ref.hits()) << "op " << op;
+            ASSERT_EQ(dut.misses(), ref.misses()) << "op " << op;
+            ASSERT_EQ(dut.speculativeEvictions(),
+                      ref.speculativeEvictions())
+                << "op " << op;
+            ASSERT_EQ(dut.taggedTxCount(), ref.taggedTxCount())
+                << "op " << op;
+            if (op % 1024 == 0) {
+                // Same resident set (so the same lines were evicted) and
+                // the same tags; the probes touch both sides alike.
+                for (Addr l : lines) {
+                    ASSERT_EQ(dut.wrTxIdOf(l), ref.wrTxIdOf(l))
+                        << "op " << op;
+                    ASSERT_EQ(dut.probe(l), ref.probe(l)) << "op " << op;
+                }
+                for (std::uint64_t t = 1; t <= kTxns; ++t) {
+                    ASSERT_EQ(dut.linesWrittenBy(t), ref.linesWrittenBy(t))
+                        << "op " << op;
+                    ASSERT_EQ(dut.numLinesWrittenBy(t),
+                              ref.linesWrittenBy(t).size())
+                        << "op " << op;
+                }
+            }
+        }
+        // Every path ran: commits, squashes, and all-speculative sets
+        // whose eviction squashed an owner.
+        EXPECT_GT(commits, 0u);
+        EXPECT_GT(squashes, 0u);
+        EXPECT_GT(dut.speculativeEvictions(), 0u);
+    }
 }
 
 // --- placement ---------------------------------------------------------------

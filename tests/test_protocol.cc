@@ -425,8 +425,9 @@ TEST(AllEngines, StatsPhasesPopulated)
         EXPECT_EQ(st.execPhase.count(), 10u) << engine->name();
         EXPECT_GT(st.execPhase.mean(), 0.0) << engine->name();
         EXPECT_GT(st.validationPhase.mean(), 0.0) << engine->name();
-        if (kind == EngineKind::Baseline)
+        if (kind == EngineKind::Baseline) {
             EXPECT_GT(st.commitPhase.mean(), 0.0);
+        }
         EXPECT_EQ(st.latency.count(), 10u);
     }
 }
