@@ -51,18 +51,18 @@ class Sweep
         int out = 1;
         for (int i = 1; i < *argc; ++i) {
             std::string opt = argv[i];
-            auto value = [&]() -> std::string {
+            auto value = [&](const char *missing) -> std::string {
                 if (i + 1 >= *argc)
-                    fatal("sweep flag needs a value");
+                    fatal(missing);
                 return argv[++i];
             };
             if (opt == "--jobs") {
                 jobs_ = static_cast<unsigned>(
-                    std::atoi(value().c_str()));
+                    std::atoi(value("--jobs needs a thread count N").c_str()));
             } else if (opt == "--smoke") {
                 smoke_ = true;
             } else if (opt == "--json") {
-                jsonPath_ = value();
+                jsonPath_ = value("--json needs a PATH");
             } else {
                 argv[out++] = argv[i];
             }

@@ -109,7 +109,6 @@ usage(const char *argv0)
         "  --shards N                        kernel shard count\n"
         "                                    (default 1 = serial;\n"
         "                                    any N is bit-identical)\n"
-        "  --shard-window-us T               override the sync window\n"
         "  --shards-det                      force the deterministic\n"
         "                                    (non-threaded) executor\n"
         "  --all-engines                     run the config under all\n"
@@ -426,9 +425,6 @@ main(int argc, char **argv)
                 std::uint32_t(std::atoi(next().c_str()));
         else if (opt == "--shards")
             spec.shards = std::uint32_t(std::atoi(next().c_str()));
-        else if (opt == "--shard-window-us")
-            spec.cluster.sharding.windowTicksOverride =
-                us(std::atoll(next().c_str()));
         else if (opt == "--shards-det")
             spec.cluster.sharding.forceDeterministic = true;
         else if (opt == "--audit")

@@ -119,8 +119,6 @@ class Auditor
      *  once, after the kernel has drained. */
     AuditReport finalize();
 
-    std::size_t observationCount() const { return observations_.size(); }
-
   private:
     void violation(ViolationKind kind, std::string detail);
     TxnObservation *find(std::uint64_t obs);

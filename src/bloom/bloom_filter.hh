@@ -119,7 +119,6 @@ class BloomFilter final : public AddressFilter
     std::uint32_t popcount() const;
 
     std::uint32_t sizeBits() const { return bits_; }
-    std::uint32_t numHashes() const { return numHashes_; }
 
     /**
      * Theoretical false-positive probability after @p n distinct

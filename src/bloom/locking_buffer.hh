@@ -105,11 +105,6 @@ class LockingBufferBank
      *  recovery scans these for a dead coordinator's stranded state). */
     std::vector<std::uint64_t> activeOwners() const;
 
-    std::uint32_t capacity() const
-    {
-        return static_cast<std::uint32_t>(buffers_.size());
-    }
-
     // --- instrumentation --------------------------------------------------
     std::uint64_t acquireFailures() const { return acquireFailures_; }
 

@@ -81,9 +81,6 @@ class SplitWriteBloomFilter final : public AddressFilter
     /** Number of WrBF2 bits currently set. */
     std::uint32_t bf2Popcount() const;
 
-    std::uint32_t bf1Bits() const { return bf1_.sizeBits(); }
-    std::uint32_t bf2Bits() const { return bf2Bits_; }
-
   private:
     BloomFilter bf1_;
     std::uint32_t bf2Bits_;

@@ -317,8 +317,6 @@ struct FaultConfig
     };
     std::vector<GreyEvent> greyEvents;
 
-    bool anyGrey() const { return !greyEvents.empty(); }
-
     /**
      * Extra one-way delay a message copy sent src->dst at @p t suffers
      * from the active grey events, given the healthy one-way latency
@@ -555,23 +553,19 @@ struct AdmissionConfig
  */
 struct ShardingConfig
 {
-    /** Conservative synchronization window width. 0 means "use the
-     *  lookahead": netRoundTrip / 2, the NIC round-trip floor below
-     *  which no cross-node event can land (DESIGN.md section 11).
-     *  Must not exceed the lookahead when threaded execution is on. */
-    Tick windowTicksOverride = 0;
     /** Force the single-threaded deterministic merge even for specs
      *  the runner would certify for threaded execution (debugging and
      *  the differential tests use this to pin down which executor
      *  diverged). */
     bool forceDeterministic = false;
 
-    /** Effective window width for a given network round trip. */
+    /** Conservative synchronization window width: the lookahead
+     *  netRoundTrip / 2, the NIC round-trip floor below which no
+     *  cross-node event can land (DESIGN.md section 11). */
     Tick
     windowFor(Tick net_round_trip) const
     {
-        return windowTicksOverride > 0 ? windowTicksOverride
-                                       : net_round_trip / 2;
+        return net_round_trip / 2;
     }
 };
 
@@ -590,7 +584,6 @@ struct ClusterConfig
     std::uint64_t llcBytesPerCore = 4ull * 1024 * 1024;
     std::uint32_t llcWays = 16;
     std::uint32_t llcCycles = 40;
-    Tick dramLatency = ns(100);
 
     // --- HADES hardware primitives ----------------------------------------
     BloomParams coreReadBf{1024, 2};
@@ -606,7 +599,6 @@ struct ClusterConfig
     // --- Network -----------------------------------------------------------
     Tick netRoundTrip = us(2);
     double netBandwidthGbps = 200.0;
-    std::uint32_t nicQueuePairs = 400;
     std::uint32_t messageHeaderBytes = 64;
     /** Fixed NIC pipeline processing per message (both endpoints). */
     Tick nicProcessing = ns(150);

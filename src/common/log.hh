@@ -2,7 +2,7 @@
  * @file
  * Minimal logging and error-exit helpers, following the gem5 convention:
  * panic() for internal invariant violations (simulator bugs), fatal() for
- * user/configuration errors, warn()/inform() for status.
+ * user/configuration errors.
  */
 
 #ifndef HADES_COMMON_LOG_HH_
@@ -68,13 +68,6 @@ fatal(const char *msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg);
     std::exit(1);
-}
-
-/** Non-fatal warning to stderr. */
-inline void
-warn(const char *msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg);
 }
 
 /** Assert-like check that survives NDEBUG builds. */

@@ -113,9 +113,6 @@ class ZipfGenerator
         return v >= n_ ? n_ - 1 : v;
     }
 
-    std::uint64_t numItems() const { return n_; }
-    double theta() const { return theta_; }
-
   private:
     /**
      * Truncated zeta sum. For the large key spaces in the evaluation the

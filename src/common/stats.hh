@@ -48,7 +48,6 @@ class Accumulator
     }
 
     double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
-    double sum() const { return sum_; }
     std::uint64_t count() const { return count_; }
     double min() const { return min_; }
     double max() const { return max_; }
@@ -84,7 +83,6 @@ class Histogram
 
     std::uint64_t count() const { return acc_.count(); }
     double mean() const { return acc_.mean(); }
-    double maxSeen() const { return acc_.max(); }
 
     /** Value at quantile q in [0,1]; returns a bucket-representative. */
     std::uint64_t

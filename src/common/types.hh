@@ -66,8 +66,6 @@ struct GlobalTxId
     CoreId core = 0;
     SlotId slot = 0;
 
-    bool valid() const { return node != kInvalidNode; }
-
     friend bool operator==(const GlobalTxId &, const GlobalTxId &) = default;
 
     /**

@@ -290,11 +290,6 @@ runOneImpl(const RunSpec &spec, bool force_deterministic)
             !force_deterministic && certifiedForThreads(spec);
         plan.laneClosed =
             plan.threaded && laneClosed(spec, sys.placement, gens);
-        if (plan.threaded && !plan.laneClosed) {
-            always_assert(
-                plan.windowTicks <= spec.cluster.netRoundTrip / 2,
-                "threaded window exceeds the network lookahead");
-        }
         sys.kernel.configureSharding(plan);
     }
 

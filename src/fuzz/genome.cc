@@ -488,13 +488,6 @@ class Scanner
     }
 
     bool
-    atEnd()
-    {
-        skipWs();
-        return p_ >= end_;
-    }
-
-    bool
     parseString(std::string &out)
     {
         if (!consume('"'))

@@ -117,8 +117,6 @@ class KeyValueStore
         return n ? double(total) / double(n) : 0.0;
     }
 
-    std::uint64_t numKeys() const { return numKeys_; }
-
   protected:
     std::uint64_t numKeys_ = 0;
     std::uint64_t recordBase_ = 0;

@@ -55,12 +55,6 @@ class NodeHeap
         return a;
     }
 
-    NodeId node() const { return node_; }
-    std::uint64_t bytesUsed() const
-    {
-        return next_ - (Addr{node_} << kNodeShift);
-    }
-
   private:
     NodeId node_;
     Addr next_;
@@ -190,10 +184,6 @@ class Placement
         return static_cast<NodeId>(mix64(r) % std::uint64_t(owners_));
     }
 
-    /** Nodes the static hash stripes over (== numNodes unless elastic
-     *  membership started some nodes as spares). */
-    std::uint32_t ownerNodes() const { return owners_; }
-
     /** Base address of record @p r. */
     Addr
     addrOf(std::uint64_t r) const
@@ -227,13 +217,8 @@ class Placement
         rehomedAddr_[r] = heaps_[node].allocate(roundUp(bytes));
     }
 
-    std::size_t rehomedRecords() const { return rehomedHome_.size(); }
-
     std::uint32_t recordBytes() const { return recordBytes_; }
     std::uint64_t numRecords() const { return numRecords_; }
-
-    /** The per-node heap for auxiliary allocations. */
-    NodeHeap &heap(NodeId n) { return heaps_[n]; }
 
   private:
     static std::uint32_t

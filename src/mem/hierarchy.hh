@@ -137,10 +137,6 @@ class NodeMemory
     LlcDirectory &llc() { return llc_; }
     const LlcDirectory &llc() const { return llc_; }
 
-    /** The DRAM timing model behind the LLC. */
-    DramModel &dram() { return dram_; }
-    const DramModel &dram() const { return dram_; }
-
     CacheArray &l1(CoreId core) { return l1_[core]; }
     CacheArray &l2(CoreId core) { return l2_[core]; }
 

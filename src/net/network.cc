@@ -49,7 +49,6 @@ void
 Network::markNodeDead(NodeId node)
 {
     dead_[node] = 1;
-    anyDead_ = true;
     txPort_[node]->freeze();
 }
 

@@ -181,7 +181,6 @@ class Network
      *  round trip then reports its observed RTT, attributed to the
      *  node that served the winning response. */
     void setSloTracker(SloTracker *t) { slo_ = t; }
-    SloTracker *sloTracker() const { return slo_; }
 
     /** Hedge copies actually sent / round trips the hedge won. */
     std::uint64_t hedgedSends() const { return hedgedSends_; }
@@ -205,7 +204,6 @@ class Network
      */
     void markNodeDead(NodeId node);
     bool nodeDead(NodeId node) const { return dead_[node] != 0; }
-    bool anyNodeDead() const { return anyDead_; }
 
     /**
      * Current configuration epoch. Every transmitted copy is stamped
@@ -216,7 +214,6 @@ class Network
      * corrupt the new view. Lease/ViewChange/Migrate control traffic
      * is exempt.
      */
-    std::uint64_t epoch() const { return epoch_; }
     void advanceEpoch() { epoch_ += 1; }
     std::uint64_t fencedStaleMessages() const { return fencedStale_; }
 
@@ -335,7 +332,6 @@ class Network
     };
     std::vector<NodeStats> statsByNode_;
     std::vector<char> dead_;
-    bool anyDead_ = false;
     std::uint64_t epoch_ = 0;
     std::uint64_t fencedStale_ = 0;
     std::uint64_t corruptDrops_ = 0;

@@ -106,8 +106,6 @@ class TxnEngine
     run(ExecCtx ctx, const txn::TxnProgram &prog)
     {
         const Tick start = sys_.kernel.now();
-        sys_.tracer.log(start, sim::TraceEvent::TxnStart, ctx.packed(),
-                        ctx.node);
         std::uint32_t squash_count = 0;
         for (;;) {
             throwIfNodeDead(ctx);
@@ -128,8 +126,6 @@ class TxnEngine
         }
         st().committed += 1;
         st().latency.add(std::uint64_t(sys_.kernel.now() - start));
-        sys_.tracer.log(sys_.kernel.now(), sim::TraceEvent::TxnCommit,
-                        ctx.packed(), ctx.node);
     }
 
     /**

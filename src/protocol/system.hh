@@ -30,7 +30,6 @@
 #include "sim/kernel.hh"
 #include "sim/resource.hh"
 #include "sim/task.hh"
-#include "sim/trace.hh"
 #include "txn/ground_truth.hh"
 #include "txn/txn_stats.hh"
 #include "txn/version_table.hh"
@@ -121,9 +120,6 @@ enum class SquashOutcome
 class SquashRouter
 {
   public:
-    /** Attach an (optional) tracer; squash deliveries are logged. */
-    void setTracer(sim::Tracer *t) { tracer_ = t; }
-
     void
     add(std::uint64_t tx, AttemptControl *ctrl)
     {
@@ -151,11 +147,6 @@ class SquashRouter
         if (!c->squashRequested) {
             c->squashRequested = true;
             c->reason = why;
-            if (tracer_) {
-                tracer_->log(kernel.now(), sim::TraceEvent::TxnSquash,
-                             tx, NodeId((tx >> 32) & 0xfff),
-                             std::uint64_t(why));
-            }
         }
         c->wake.notify(kernel);
         return SquashOutcome::Delivered;
@@ -173,7 +164,6 @@ class SquashRouter
 
   private:
     std::map<std::uint64_t, AttemptControl *> active_;
-    sim::Tracer *tracer_ = nullptr;
 };
 
 /** All per-node state. */
@@ -258,8 +248,6 @@ class System
         // node draws from its own deterministic stream regardless of
         // how other nodes' draws interleave.
         routers_.resize(cfg.numNodes + 1);
-        for (auto &r : routers_)
-            r.setTracer(&tracer);
         rngs_.reserve(cfg.numNodes + 1);
         for (NodeId n = 0; n <= cfg.numNodes; ++n)
             rngs_.emplace_back(cfg.seed ^ 0x5ca1ab1e ^
@@ -341,8 +329,6 @@ class System
     std::unique_ptr<net::SloTracker> slo;
     /** Admission control + retry budgets; null unless enabled. */
     std::unique_ptr<AdmissionController> admission;
-    /** Protocol event trace (off by default; tracer.enable()). */
-    sim::Tracer tracer;
     /** Correctness auditor; null when auditing is off. Engines report
      *  reads/writes/commits and hardware invariant checks into it;
      *  purely observational, so it cannot perturb the simulation. */

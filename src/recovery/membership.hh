@@ -118,10 +118,6 @@ class MembershipManager
         return member_[n] != 0 && draining_[n] == 0;
     }
 
-    /** Node is currently a cluster member (spares before their join
-     *  and drained nodes after their leave are not). */
-    bool isMember(NodeId n) const { return member_[n] != 0; }
-
     /**
      * Dynamic (CM-requested) drain of @p node -- the grey-failure
      * quarantine entry point. Exactly the scheduled-drain machinery,

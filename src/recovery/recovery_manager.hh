@@ -156,9 +156,6 @@ class RecoveryManager
      */
     bool finished() const;
 
-    /** CM failover counter; every lease grant is stamped with it. */
-    std::uint64_t cmEpoch() const { return cmEpoch_; }
-
     /**
      * True when the acting primary can reach a majority of the live CM
      * group members at instant @p now (partition oracle, both

@@ -175,16 +175,6 @@ class ReplicaStore
         return out;
     }
 
-    /** Staged writes of @p tx (empty if none). */
-    std::vector<std::pair<std::uint64_t, std::int64_t>>
-    stagedWrites(std::uint64_t tx) const
-    {
-        auto it = staged_.find(tx);
-        if (it == staged_.end())
-            return {};
-        return it->second;
-    }
-
   private:
     std::unordered_map<
         std::uint64_t,
@@ -273,7 +263,6 @@ class ReplicaManager
      *  the MembershipManager resyncs images afterwards). */
     void markPresent(NodeId node) { present_[node] = 1; }
     void markAbsent(NodeId node) { present_[node] = 0; }
-    bool nodePresent(NodeId node) const { return present_[node] != 0; }
 
     /**
      * Commit sequence numbers. A coordinator draws one at its

@@ -90,9 +90,6 @@ class EventCallback
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-    /** True if the callable spilled to a heap allocation. */
-    bool onHeap() const noexcept { return ops_ != nullptr && heap_; }
-
     void
     operator()()
     {

@@ -146,7 +146,7 @@ class Kernel
     void
     configureSharding(const ShardPlan &plan)
     {
-        always_assert(totalScheduled() == 0 && eventsRun_ == 0,
+        always_assert(totalScheduled() == 0,
                       "configureSharding on a kernel already in use");
         always_assert(plan.shards >= 1, "need at least one shard");
         shards_ = plan.shards;
@@ -188,33 +188,9 @@ class Kernel
     std::uint64_t
     eventsRun() const
     {
-        std::uint64_t n = eventsRun_;
-        for (const Lane &l : lanes_)
-            n += l.eventsRun;
-        return n;
-    }
-
-    /** Number of events scheduled so far. */
-    std::uint64_t eventsScheduled() const { return totalScheduled(); }
-
-    /** Callbacks too large for the inline buffer (heap spills). A
-     *  well-behaved hot path keeps this at (or near) zero. */
-    std::uint64_t
-    callbackHeapAllocs() const
-    {
         std::uint64_t n = 0;
         for (const Lane &l : lanes_)
-            n += l.heapSpills;
-        return n;
-    }
-
-    /** High-water mark of pending events (summed over lanes). */
-    std::size_t
-    peakQueueDepth() const
-    {
-        std::size_t n = 0;
-        for (const Lane &l : lanes_)
-            n += l.peakDepth;
+            n += l.eventsRun;
         return n;
     }
 
@@ -223,7 +199,6 @@ class Kernel
     bool threaded() const { return threaded_; }
     /** A threaded run certified lane-closed (see ShardPlan). */
     bool laneClosed() const { return laneClosed_; }
-    Tick windowTicks() const { return windowTicks_; }
     /** Window barriers crossed (== windows entered beyond the first). */
     std::uint64_t windowBarriers() const { return barriers_; }
     /** Events that crossed a lane boundary (mailbox traffic). */
@@ -425,9 +400,7 @@ class Kernel
         std::vector<std::uint32_t> freeSlots;
         Tick lastNow = 0;
         std::uint64_t eventsRun = 0;
-        std::uint64_t heapSpills = 0;
         std::uint64_t crossShardOut = 0;
-        std::size_t peakDepth = 0;
     };
 
     /** Per-thread execution context: which kernel/lane is running and
@@ -481,8 +454,6 @@ class Kernel
     pushLane(Lane &l, Tick when, std::uint64_t key, NodeId exec,
              Callback fn)
     {
-        if (fn.onHeap())
-            ++l.heapSpills;
         std::uint32_t slot;
         if (!l.freeSlots.empty()) {
             slot = l.freeSlots.back();
@@ -494,8 +465,6 @@ class Kernel
         }
         l.heap.push_back(HeapEntry{when, key, slot, exec});
         siftUp(l.heap, l.heap.size() - 1);
-        if (l.heap.size() > l.peakDepth)
-            l.peakDepth = l.heap.size();
     }
 
     static void
@@ -883,7 +852,6 @@ class Kernel
     std::uint64_t barriers_ = 0;
 
     Tick now_ = 0;
-    std::uint64_t eventsRun_ = 0; //!< pre-sharding compatibility slot
     std::atomic<bool> stopped_{false};
     std::atomic<bool> threadedActive_{false};
     std::atomic<bool> rerunRequested_{false};

@@ -42,9 +42,6 @@ class ComputeResource
   public:
     explicit ComputeResource(Kernel &kernel) : kernel_(kernel) {}
 
-    /** Time at which the resource next becomes free. */
-    Tick freeAt() const { return std::max(freeAt_, kernel_.now()); }
-
     /** Total busy time accumulated (for utilization stats). */
     Tick busyTime() const { return busyTime_; }
 
@@ -69,7 +66,6 @@ class ComputeResource
      * occupy() calls: code running on a crashed core cannot advance.
      */
     void freeze() { frozen_ = true; }
-    bool frozen() const { return frozen_; }
 
     /** Hold the resource for @p duration ticks (FCFS). */
     auto

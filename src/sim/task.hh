@@ -312,14 +312,6 @@ class CountdownLatch
   public:
     explicit CountdownLatch(std::uint32_t count = 0) : remaining_(count) {}
 
-    void arm(std::uint32_t count)
-    {
-        always_assert(waiter_ == nullptr, "arm with pending waiter");
-        remaining_ = count;
-    }
-
-    std::uint32_t remaining() const { return remaining_; }
-
     /** One event arrived; wakes the waiter when the count hits zero. */
     void
     countDown(Kernel &kernel)

@@ -224,7 +224,6 @@ TEST(Config, TableIIIDefaults)
     EXPECT_EQ(cfg.coresPerNode, 5u);
     EXPECT_EQ(cfg.slotsPerCore, 2u);
     EXPECT_EQ(cfg.netRoundTrip, us(2));
-    EXPECT_EQ(cfg.dramLatency, ns(100));
     EXPECT_EQ(cfg.l1.accessCycles, 2u);
     EXPECT_EQ(cfg.l2.accessCycles, 12u);
     EXPECT_EQ(cfg.llcCycles, 40u);

@@ -18,6 +18,7 @@
 #include "common/rng.hh"
 #include "mem/address_space.hh"
 #include "mem/cache_array.hh"
+#include "mem/dram.hh"
 #include "mem/hierarchy.hh"
 #include "mem/llc_directory.hh"
 
@@ -163,10 +164,12 @@ TEST(NodeMemory, LatencyLadder)
     NodeMemory mem{cfg};
     Clock clk = cfg.clock();
 
-    // Cold: DRAM.
+    // Cold: DRAM, an isolated row miss (~100 ns, Table III).
+    const DramParams dp;
     auto a0 = mem.access(0, 0x1000);
     EXPECT_EQ(a0.level, HitLevel::DRAM);
-    EXPECT_EQ(a0.latency, clk.cycles(cfg.llcCycles) + cfg.dramLatency);
+    EXPECT_EQ(a0.latency, clk.cycles(cfg.llcCycles) + dp.tRp + dp.tRcd +
+                              dp.tCas + dp.tBurst + dp.tController);
 
     // Warm: L1.
     auto a1 = mem.access(0, 0x1000);
