@@ -87,6 +87,8 @@ LockingBufferBank::release(std::uint64_t owner)
             b.active = false;
             b.readBf.reset();
             b.writeBf.reset();
+            if (releaseHook_)
+                releaseHook_();
             return;
         }
     }

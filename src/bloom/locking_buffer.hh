@@ -22,6 +22,7 @@
 #define HADES_BLOOM_LOCKING_BUFFER_HH_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -75,8 +76,16 @@ class LockingBufferBank
     bool acquireReadGuard(std::uint64_t owner,
                           std::span<const Addr> lines);
 
-    /** Drop the buffer held by @p owner (commit finished / guard done). */
+    /** Drop the buffer held by @p owner (commit finished / guard done).
+     *  Freeing a buffer calls the release hook. */
     void release(std::uint64_t owner);
+
+    /** Called whenever release() frees a buffer: the accesses stalled
+     *  on this bank may now pass. */
+    void setReleaseHook(std::function<void()> hook)
+    {
+        releaseHook_ = std::move(hook);
+    }
 
     /**
      * Would a directory access to the hashed line be denied right now?
@@ -121,6 +130,7 @@ class LockingBufferBank
 
     std::vector<Buffer> buffers_;
     std::uint64_t acquireFailures_ = 0;
+    std::function<void()> releaseHook_;
 };
 
 } // namespace hades::bloom

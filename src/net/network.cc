@@ -50,6 +50,8 @@ Network::markNodeDead(NodeId node)
 {
     dead_[node] = 1;
     txPort_[node]->freeze();
+    // The node's stalled accesses unwind at their next poll.
+    kernel_.wakeParked(node);
 }
 
 bool

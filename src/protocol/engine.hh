@@ -540,7 +540,7 @@ class TxnEngine
     squashVictim(NodeId from, std::uint64_t victim,
                  txn::SquashReason why, SquashOutcome &out)
     {
-        const NodeId vnode = System::txnNode(victim);
+        const NodeId vnode = txnNode(victim);
         if (vnode >= sys_.config.numNodes || vnode == from) {
             out = sys_.routerFor(victim).squash(sys_.kernel, victim,
                                                 why);

@@ -124,6 +124,72 @@ class HadesEngine::LocalPath
     System &sys_;
 };
 
+/**
+ * A directory access that its node's Locking Buffers deny (Fig. 7)
+ * retries every llcCycles until they let it pass:
+ *
+ *     DirectoryStall stall(e, at, lh, is_write);
+ *     while (stall.blocked())
+ *         stall.polled(co_await stall.retry());
+ *
+ * Only a buffer release on the node, a squash of the attempt or the
+ * node's death changes what a retry sees, and each wakes the node's
+ * parked retries (the bank's release hook, SquashRouter::deliver,
+ * Network::markNodeDead); the kernel replays the others
+ * (sim::ParkedDelay). The stall lives in the caller's frame: a
+ * coroutine of its own would allocate a frame per stall.
+ */
+class HadesEngine::DirectoryStall
+{
+  public:
+    DirectoryStall(HadesEngine &e, const AttemptPtr &at,
+                   const bloom::LineHash &lh, bool is_write)
+        : e_(e), at_(at), lh_(lh), isWrite_(is_write)
+    {}
+
+    bool
+    blocked() const
+    {
+        return e_.sys_.node(at_->homeNode)
+            .lockBank.accessBlocked(lh_, isWrite_, at_->id);
+    }
+
+    /** The next retry. It runs for real when the wakes cannot reach it:
+     *  the stall runs in another node's context (a test harness, or a
+     *  serial-only fault path that resumed the attempt elsewhere), or
+     *  a squash or death landed before the stall began. */
+    sim::ParkedDelay
+    retry() const
+    {
+        auto &sys = e_.sys_;
+        const bool parks = sys.kernel.currentNode() == at_->homeNode &&
+                           !at_->ctrl.squashRequested &&
+                           !sys.network.nodeDead(at_->homeNode);
+        return sim::ParkedDelay{sys.kernel,
+                                e_.cycles(sys.config.llcCycles), at_->id,
+                                parks ? kMaxPolls - polls_ : 1};
+    }
+
+    /** Count @p polls retries; throws if the attempt was squashed. */
+    void
+    polled(std::uint64_t polls)
+    {
+        polls_ += polls;
+        e_.checkSquash(at_);
+        always_assert(polls_ < kMaxPolls, "directory stall did not resolve");
+    }
+
+  private:
+    /** Retries before the simulation declares the stall a hang. */
+    static constexpr std::uint64_t kMaxPolls = 1000000;
+
+    HadesEngine &e_;
+    const AttemptPtr &at_;
+    const bloom::LineHash &lh_;
+    const bool isWrite_;
+    std::uint64_t polls_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Hardware local path (HADES)
 // ---------------------------------------------------------------------------
@@ -323,13 +389,9 @@ HadesEngine::HwPath::localAccess(ExecCtx ctx, AttemptPtr at,
         // One LineHash serves the stall polls and every filter probe,
         // so the line is hashed at most once.
         const bloom::LineHash lh(line);
-        int stall_guard = 0;
-        while (node.lockBank.accessBlocked(lh, is_write, at->id)) {
-            co_await sim::Delay{kernel, e_.cycles(sys_.config.llcCycles)};
-            e_.checkSquash(at);
-            always_assert(++stall_guard < 1000000,
-                          "directory stall did not resolve");
-        }
+        DirectoryStall stall(e_, at, lh, is_write);
+        while (stall.blocked())
+            stall.polled(co_await stall.retry());
 
         // Charge the BF hashing up front: the tag check + filter probe
         // + tag set below are one atomic directory operation in the
@@ -491,13 +553,9 @@ HadesEngine::SwPath::access(ExecCtx ctx, AttemptPtr at,
     // One LineHash serves every poll, so the line is hashed at most
     // once.
     const bloom::LineHash lh(lineAddr(base));
-    int stall_guard = 0;
-    while (node.lockBank.accessBlocked(lh, req.isWrite, at->id)) {
-        co_await sim::Delay{kernel, e_.cycles(sys_.config.llcCycles)};
-        e_.checkSquash(at);
-        always_assert(++stall_guard < 1000000,
-                      "HADES-H local access stall did not resolve");
-    }
+    DirectoryStall stall(e_, at, lh, req.isWrite);
+    while (stall.blocked())
+        stall.polled(co_await stall.retry());
 
     auto wit = std::find_if(
         at->localWrites.begin(), at->localWrites.end(),

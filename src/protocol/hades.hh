@@ -83,6 +83,7 @@ class HadesEngine : public TxnEngine
     class LocalPath;
     class HwPath;
     class SwPath;
+    class DirectoryStall;
 
     /** One software Read Set entry (HADES-H local path). */
     struct LocalRead

@@ -107,6 +107,15 @@ struct AttemptControl
     std::unordered_set<Addr> localWriteLines;
 };
 
+/** Coordinator node encoded in a packed GlobalTxId (bits 32..47; epoch
+ *  restamping touches bits 48+ only, so this survives recovery's
+ *  epoch-stamped ids). */
+inline NodeId
+txnNode(std::uint64_t tx)
+{
+    return NodeId((tx >> 32) & 0xffff);
+}
+
 /** Result of asking the router to squash a transaction. */
 enum class SquashOutcome
 {
@@ -144,12 +153,21 @@ class SquashRouter
             return SquashOutcome::NotFound;
         if (c->uncommittable)
             return SquashOutcome::Uncommittable;
-        if (!c->squashRequested) {
-            c->squashRequested = true;
+        if (!c->squashRequested)
             c->reason = why;
-        }
-        c->wake.notify(kernel);
+        deliver(kernel, tx, *c);
         return SquashOutcome::Delivered;
+    }
+
+    /** Land a squash on attempt @p tx (control block @p c): flag it and
+     *  wake it both where it waits for Acks and where it stalls on the
+     *  directory. Every squash reaches an attempt through here. */
+    static void
+    deliver(sim::Kernel &kernel, std::uint64_t tx, AttemptControl &c)
+    {
+        c.squashRequested = true;
+        c.wake.notify(kernel);
+        kernel.wakeParked(txnNode(tx), tx);
     }
 
     /** All registered attempts, keyed by packed GlobalTxId. Recovery's
@@ -179,6 +197,10 @@ struct NodeCtx
     {
         for (std::uint32_t c = 0; c < cfg.coresPerNode; ++c)
             cores.push_back(std::make_unique<sim::ComputeResource>(kernel));
+        // A freed Locking Buffer may let this node's stalled directory
+        // accesses pass.
+        lockBank.setReleaseHook(
+            [&kernel, id_] { kernel.wakeParked(id_); });
     }
 
     NodeId id;
@@ -275,15 +297,6 @@ class System
 
     NodeCtx &node(NodeId n) { return *nodes[n]; }
     Tick cycles(std::int64_t n) const { return clock.cycles(n); }
-
-    /** Coordinator node encoded in a packed GlobalTxId (bits 32..47;
-     *  epoch restamping touches bits 48+ only, so this survives
-     *  recovery's epoch-stamped ids). */
-    static NodeId
-    txnNode(std::uint64_t tx)
-    {
-        return NodeId((tx >> 32) & 0xffff);
-    }
 
     /** Squash router shard of @p tx's coordinator node. All register /
      *  squash / find traffic for a transaction goes through its

@@ -356,10 +356,9 @@ RecoveryManager::viewChange(NodeId dead)
             stats_.inDoubtAborted += 1;
         }
         ctrl->resolvedByRecovery = true;
-        ctrl->squashRequested = true;
         ctrl->reason = txn::SquashReason::NodeFailure;
         ctrl->finished = true;
-        ctrl->wake.notify(sys_.kernel);
+        protocol::SquashRouter::deliver(sys_.kernel, id, *ctrl);
         sys_.routerFor(id).remove(id);
     }
 

@@ -43,6 +43,11 @@
  *    runner certifies specs before enabling this mode; see DESIGN.md
  *    section 11).
  *
+ * A periodic poll whose condition only a known event can change parks
+ * out of the heap (park()); the kernel replays its polls' key draws
+ * and event counts instead of running them, so every key is the one
+ * the Delay loop it replaces would have drawn.
+ *
  * Hot-path layout: the priority queue is a hand-managed binary heap of
  * 24-byte POD entries (when, key, slot, exec-node) over a contiguous
  * arena of small-buffer-optimized callbacks. Sift operations move only
@@ -58,6 +63,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -110,6 +116,35 @@ struct ShardPlan
      *  run then executes one unbounded window, each lane to completion,
      *  and crosses no barrier. Ignored unless threaded. */
     bool laneClosed = false;
+};
+
+/**
+ * A poll parked out of the event heap (see Kernel::park()). It lives in
+ * the waiting coroutine's frame; the kernel links it into the list of
+ * the node that parked it.
+ */
+struct ParkedPoll
+{
+    /** Ticks between polls. @pre > 0 */
+    Tick period = 0;
+    /** Matched by Kernel::wakeParked(node, tag). */
+    std::uint64_t tag = 0;
+    /** Polls the kernel may replay; the one after them runs for real. */
+    std::uint64_t maxReplayed = 0;
+    std::coroutine_handle<> waiter;
+
+    // Kernel-owned while parked.
+    Tick when = 0;              //!< the next poll's tick
+    std::uint64_t key = 0;      //!< and its ordering key
+    std::uint64_t replayed = 0; //!< polls replayed so far
+    ParkedPoll *next = nullptr;
+
+    /** Tick of the poll that must run for real. */
+    Tick
+    deadline() const
+    {
+        return when + Tick(maxReplayed - replayed) * period;
+    }
 };
 
 /** The DES scheduler. */
@@ -182,6 +217,15 @@ class Kernel
     {
         const ExecContext *c = tlsCtx_;
         return c && c->kernel == this ? c->node : kControlNode;
+    }
+
+    /** Ordering key of the currently executing event (0 outside any
+     *  event). */
+    std::uint64_t
+    currentKey() const
+    {
+        const ExecContext *c = tlsCtx_;
+        return c && c->kernel == this ? c->key : 0;
     }
 
     /** Number of events executed so far (for progress accounting). */
@@ -282,17 +326,7 @@ class Kernel
         ExecContext *c = current();
         always_assert(when >= (c ? c->now : now_),
                       "event scheduled in the past");
-        const std::uint32_t rank = rankOf(c ? c->node : kControlNode);
-        if (rank >= seqByRank_.size()) {
-            always_assert(!threadedActive(),
-                          "unplanned node rank in threaded mode");
-            seqByRank_.resize(rank + 1);
-        }
-        const std::uint64_t seq = seqByRank_[rank].next++;
-        always_assert(seq < (std::uint64_t{1} << kSeqBits),
-                      "per-node sequence overflow");
-        const std::uint64_t key =
-            (std::uint64_t{rank} << kSeqBits) | seq;
+        const std::uint64_t key = drawKey(c);
 
         const std::uint32_t dstLane = laneOf(exec, shards_);
         const std::uint32_t srcLane = c ? c->lane : dstLane;
@@ -324,6 +358,59 @@ class Kernel
     }
 
     /**
+     * Park @p p, the next poll of a loop `co_await Delay{kernel,
+     * p.period}` that waits on a condition only wakeParked() for this
+     * node can change. The poll's key is drawn exactly as that Delay
+     * would draw it, but the poll stays out of the heap. Every later
+     * poll that would find the condition unchanged is *replayed*:
+     * before the parking node's sequence stream draws a key for anyone,
+     * the kernel draws, in key order, the keys of that node's parked
+     * polls that precede the running event, and counts each in
+     * eventsRun(). Keys, event counts and results are therefore those
+     * of the Delay loop. A poll runs for real, resuming p.waiter at its
+     * own (tick, key), after a wakeParked() or when it is poll number
+     * p.maxReplayed + 1, so with p.maxReplayed == 0 park() is exactly a
+     * Delay. Otherwise call it from an event of the parking node; p
+     * must stay alive until p.waiter resumes.
+     */
+    void
+    park(ParkedPoll &p)
+    {
+        always_assert(p.period > 0, "parked poll needs a positive period");
+        p.replayed = 0;
+        if (p.maxReplayed == 0) {
+            // Nothing to replay: the poll is a plain Delay.
+            schedule(p.period, [h = p.waiter] { h.resume(); });
+            return;
+        }
+        ExecContext *c = current();
+        always_assert(c != nullptr, "park outside an event");
+        always_assert(Tick(p.maxReplayed) <
+                          (kTickMax - c->now) / p.period - 1,
+                      "parked poll deadline overflows");
+        p.when = c->now + p.period;
+        p.key = drawKey(c);
+        const std::uint32_t rank = rankOf(c->node);
+        SeqCounter &s = seqByRank_[rank];
+        p.next = s.parked;
+        s.parked = &p;
+        Lane &l = lanes_[c->lane];
+        ++l.parked;
+        l.parkDeadline = std::min(l.parkDeadline, p.deadline());
+    }
+
+    /** Run the next poll of every poll @p node parked for real: their
+     *  condition may have changed. */
+    void wakeParked(NodeId node) { wake(node, false, 0); }
+
+    /** As wakeParked(node), for the polls tagged @p tag only. */
+    void
+    wakeParked(NodeId node, std::uint64_t tag)
+    {
+        wake(node, true, tag);
+    }
+
+    /**
      * Run until the queue drains or @p maxTime is reached.
      * @return true if the queue drained, false if the horizon stopped us.
      */
@@ -345,7 +432,7 @@ class Kernel
     empty() const
     {
         for (const Lane &l : lanes_)
-            if (!l.heap.empty())
+            if (!l.heap.empty() || l.parked != 0)
                 return false;
         return !anyMail();
     }
@@ -387,6 +474,10 @@ class Kernel
     struct alignas(64) SeqCounter
     {
         std::uint64_t next = 0;
+        /** Polls this node parked (park()), unordered. Per node like
+         *  the stream: only the node's own lane parks, replays or wakes
+         *  them while a threaded window runs. */
+        ParkedPoll *parked = nullptr;
     };
 
     /** One shard: a heap + closure arena, owned by one thread while a
@@ -401,6 +492,10 @@ class Kernel
         Tick lastNow = 0;
         std::uint64_t eventsRun = 0;
         std::uint64_t crossShardOut = 0;
+        /** Polls parked by this lane's nodes, and a lower bound on
+         *  their deadlines (kTickMax when there are none). */
+        std::uint64_t parked = 0;
+        Tick parkDeadline = kTickMax;
     };
 
     /** Per-thread execution context: which kernel/lane is running and
@@ -411,6 +506,7 @@ class Kernel
         std::uint32_t lane;
         Tick now;
         NodeId node;
+        std::uint64_t key = 0;
     };
 
     /** RAII guard installing an ExecContext for the calling thread. */
@@ -438,6 +534,194 @@ class Kernel
             return 0; // control context sorts first at equal time
         always_assert(node < 0xfffeu, "node id exceeds key rank space");
         return node + 1;
+    }
+
+    static NodeId
+    nodeOfRank(std::uint32_t rank)
+    {
+        return rank == 0 ? kControlNode : NodeId(rank - 1);
+    }
+
+    /** Draw the next key of @p c's node (the control stream outside any
+     *  event), after replaying that node's parked polls that precede
+     *  the running event. */
+    std::uint64_t
+    drawKey(const ExecContext *c)
+    {
+        const std::uint32_t rank = rankOf(c ? c->node : kControlNode);
+        if (rank >= seqByRank_.size()) {
+            always_assert(!threadedActive(),
+                          "unplanned node rank in threaded mode");
+            seqByRank_.resize(rank + 1);
+        }
+        if (seqByRank_[rank].parked && c)
+            replay(rank, c->now, c->key);
+        return takeKey(rank);
+    }
+
+    std::uint64_t
+    takeKey(std::uint32_t rank)
+    {
+        const std::uint64_t seq = seqByRank_[rank].next++;
+        always_assert(seq < (std::uint64_t{1} << kSeqBits),
+                      "per-node sequence overflow");
+        return (std::uint64_t{rank} << kSeqBits) | seq;
+    }
+
+    // --- Parked polls -------------------------------------------------------
+    /** Push the next poll of @p p, parked by node rank @p rank, into its
+     *  lane's heap: it runs for real at its own (tick, key). */
+    void
+    realize(std::uint32_t rank, const ParkedPoll &p)
+    {
+        const NodeId node = nodeOfRank(rank);
+        pushLane(lanes_[laneOf(node, shards_)], p.when, p.key, node,
+                 [h = p.waiter] { h.resume(); });
+    }
+
+    /** Unlink the poll at @p link from node rank @p rank's list. */
+    void
+    unpark(std::uint32_t rank, ParkedPoll **link)
+    {
+        *link = (*link)->next;
+        Lane &l = lanes_[laneOf(nodeOfRank(rank), shards_)];
+        if (--l.parked == 0)
+            l.parkDeadline = kTickMax;
+    }
+
+    /**
+     * Replay, in key order, the polls parked by node rank @p rank that
+     * precede (@p when, @p key): each counts as an event and draws the
+     * key of its successor, and a successor that may not be replayed
+     * goes to the heap. The caller guarantees that no pending event of
+     * that node precedes the bound, so these are exactly the draws the
+     * Delay loop would have made there.
+     */
+    void
+    replay(std::uint32_t rank, Tick when, std::uint64_t key)
+    {
+        SeqCounter &s = seqByRank_[rank];
+        Lane &l = lanes_[laneOf(nodeOfRank(rank), shards_)];
+        for (;;) {
+            ParkedPoll **first = nullptr;
+            for (ParkedPoll **link = &s.parked; *link;
+                 link = &(*link)->next) {
+                const ParkedPoll &p = **link;
+                if (!first || p.when < (*first)->when ||
+                    (p.when == (*first)->when && p.key < (*first)->key))
+                    first = link;
+            }
+            if (!first)
+                return;
+            ParkedPoll &p = **first;
+            if (p.when > when || (p.when == when && p.key >= key))
+                return;
+            ++l.eventsRun;
+            ++p.replayed;
+            p.when += p.period;
+            p.key = takeKey(rank);
+            if (p.replayed == p.maxReplayed) {
+                unpark(rank, first);
+                realize(rank, p);
+            }
+        }
+    }
+
+    /** wakeParked(): the running event may have changed the condition
+     *  of node @p node's parked polls (those tagged @p tag if
+     *  @p matchTag). */
+    void
+    wake(NodeId node, bool matchTag, std::uint64_t tag)
+    {
+        const std::uint32_t rank = rankOf(node);
+        if (rank >= seqByRank_.size() || !seqByRank_[rank].parked)
+            return;
+        const ExecContext *c = current();
+        always_assert(!threadedActive() ||
+                          (c && c->lane == laneOf(node, shards_)),
+                      "parked polls woken from another lane");
+        if (c)
+            replay(rank, c->now, c->key);
+        for (ParkedPoll **link = &seqByRank_[rank].parked; *link;) {
+            ParkedPoll &p = **link;
+            if (matchTag && p.tag != tag) {
+                link = &p.next;
+                continue;
+            }
+            unpark(rank, link);
+            realize(rank, p);
+        }
+    }
+
+    /** Call @p fn with every node rank of lane @p lane. */
+    template <class Fn>
+    void
+    forEachRankOf(std::uint32_t lane, Fn &&fn)
+    {
+        if (lane == 0)
+            fn(0u);
+        for (std::size_t r = std::size_t{lane} + 1; r < seqByRank_.size();
+             r += shards_)
+            fn(std::uint32_t(r));
+    }
+
+    /**
+     * Send to the heap every poll parked on lane @p lane that must run
+     * for real at or before @p next, the earliest pending event (every
+     * earlier event has run, so replaying up to a deadline is exact),
+     * and make the lane's parkDeadline exact again.
+     */
+    void
+    expireParked(std::uint32_t lane, Tick next)
+    {
+        Tick earliest = kTickMax;
+        forEachRankOf(lane, [&](std::uint32_t rank) {
+            // A poll sent to the heap is the node's earliest pending
+            // event: replay no further than its tick.
+            Tick bound = next;
+            while (seqByRank_[rank].parked) {
+                Tick due = kTickMax;
+                for (const ParkedPoll *p = seqByRank_[rank].parked; p;
+                     p = p->next)
+                    due = std::min(due, p->deadline());
+                if (due > bound) {
+                    earliest = std::min(earliest, due);
+                    return;
+                }
+                replay(rank, due, 0);
+                bound = due;
+            }
+        });
+        lanes_[lane].parkDeadline = earliest;
+    }
+
+    /** Replay every parked poll that precedes (@p when, @p key), so a
+     *  run that stops early leaves exact event counts. Single-threaded
+     *  executors only. */
+    void
+    settleParked(Tick when, std::uint64_t key)
+    {
+        for (std::uint32_t rank = 0; rank < seqByRank_.size(); ++rank)
+            if (seqByRank_[rank].parked)
+                replay(rank, when, key);
+    }
+
+    /** The tick of the first poll of lane @p lane's parked polls at or
+     *  after @p from: where the Delay loop's pending poll would sit. */
+    Tick
+    nextParkedPoll(std::uint32_t lane, Tick from)
+    {
+        Tick t = kTickMax;
+        forEachRankOf(lane, [&](std::uint32_t rank) {
+            for (const ParkedPoll *p = seqByRank_[rank].parked; p;
+                 p = p->next) {
+                Tick w = p->when;
+                if (w < from)
+                    w += (from - w + p->period - 1) / p->period * p->period;
+                t = std::min(t, w);
+            }
+        });
+        return t;
     }
 
     /** Earliest-first strict weak ordering:
@@ -522,6 +806,7 @@ class Kernel
         l.freeSlots.push_back(top.slot);
         ctx.now = top.when;
         ctx.node = top.exec;
+        ctx.key = top.key;
         ++l.eventsRun;
         fn();
     }
@@ -589,15 +874,25 @@ class Kernel
         Lane &l = lanes_[0];
         ExecContext ctx{this, 0, now_, kControlNode};
         CtxScope scope(&ctx);
-        while (!l.heap.empty() && !stoppedNow()) {
-            if (maxTime >= 0 && l.heap.front().when > maxTime) {
+        const Tick horizon = maxTime >= 0 ? maxTime : kTickMax;
+        while (!stoppedNow()) {
+            const Tick next = l.heap.empty() ? kTickMax : l.heap.front().when;
+            if (l.parked != 0 && std::min(next, horizon) >= l.parkDeadline) {
+                expireParked(0, std::min(next, horizon));
+                continue;
+            }
+            if (l.heap.empty() && l.parked == 0)
+                break; // drained
+            if (next > horizon) {
+                settleParked(horizon + 1, 0);
                 now_ = maxTime;
                 return false;
             }
             execTop(l, ctx);
         }
+        settleParked(ctx.now, ctx.key);
         now_ = ctx.now;
-        return l.heap.empty();
+        return empty();
     }
 
     // --- Sharded deterministic merge --------------------------------------
@@ -606,9 +901,12 @@ class Kernel
     {
         ExecContext ctx{this, 0, now_, kControlNode};
         CtxScope scope(&ctx);
+        const Tick horizon = maxTime >= 0 ? maxTime : kTickMax;
         while (!stoppedNow()) {
             int best = -1;
+            Tick due = kTickMax;
             for (std::size_t i = 0; i < lanes_.size(); ++i) {
+                due = std::min(due, lanes_[i].parkDeadline);
                 if (lanes_[i].heap.empty())
                     continue;
                 if (best < 0 || earlier(lanes_[i].heap.front(),
@@ -616,25 +914,38 @@ class Kernel
                     best = int(i);
             }
             if (best < 0) {
-                if (!anyMail())
+                if (anyMail()) {
+                    // Conservative advance: one barrier per window, no
+                    // skipping, so the barrier count matches the
+                    // horizon.
+                    advanceWindow();
+                    continue;
+                }
+                if (due == kTickMax)
                     break; // fully drained
-                // Conservative advance: one barrier per window, no
-                // skipping, so the barrier count matches the horizon.
+            }
+            const Tick next =
+                best < 0 ? kTickMax : lanes_[best].heap.front().when;
+            if (next < kTickMax && next >= windowEnd_) {
                 advanceWindow();
                 continue;
             }
-            const HeapEntry &top = lanes_[best].heap.front();
-            if (top.when >= windowEnd_) {
-                advanceWindow();
+            const Tick bound = std::min(next, horizon);
+            if (due != kTickMax && bound >= due) {
+                for (std::uint32_t i = 0; i < shards_; ++i)
+                    if (lanes_[i].parkDeadline <= bound)
+                        expireParked(i, bound);
                 continue;
             }
-            if (maxTime >= 0 && top.when > maxTime) {
+            if (next > horizon) {
+                settleParked(horizon + 1, 0);
                 now_ = maxTime;
                 return false;
             }
             ctx.lane = std::uint32_t(best);
             execTop(lanes_[best], ctx);
         }
+        settleParked(ctx.now, ctx.key);
         now_ = ctx.now;
         return empty();
     }
@@ -740,9 +1051,17 @@ class Kernel
     runLaneWindow(std::uint32_t lane, ExecContext &ctx)
     {
         Lane &l = lanes_[lane];
-        while (!l.heap.empty() && l.heap.front().when < windowEnd_ &&
-               !stoppedNow())
+        while (!stoppedNow()) {
+            const Tick next =
+                l.heap.empty() ? kTickMax : l.heap.front().when;
+            if (next >= l.parkDeadline && l.parkDeadline < windowEnd_) {
+                expireParked(lane, std::min(next, windowEnd_ - 1));
+                continue;
+            }
+            if (next >= windowEnd_)
+                break;
             execTop(l, ctx);
+        }
         l.lastNow = ctx.now;
     }
 
@@ -764,10 +1083,16 @@ class Kernel
         drainMailboxes();
         bool pending = false;
         Tick tmin = 0;
-        for (const Lane &l : lanes_) {
-            if (l.heap.empty())
+        for (std::uint32_t i = 0; i < shards_; ++i) {
+            const Lane &l = lanes_[i];
+            // A parked poll's pending successor counts where the Delay
+            // loop's heap event would, so windows open where they would
+            // have.
+            Tick when = l.parked ? nextParkedPoll(i, windowEnd_) : kTickMax;
+            if (!l.heap.empty())
+                when = std::min(when, l.heap.front().when);
+            if (when == kTickMax)
                 continue;
-            const Tick when = l.heap.front().when;
             tmin = pending ? std::min(tmin, when) : when;
             pending = true;
         }

@@ -158,6 +158,43 @@ class Delay
 };
 
 /**
+ * One wait of a `co_await Delay{kernel, period}` polling loop whose
+ * condition only Kernel::wakeParked(node, tag) for the polling node can
+ * change: the polls that would find it unchanged are replayed in the
+ * kernel instead of run (Kernel::park()). The coroutine resumes at the
+ * (tick, key) of the first poll after a wake, or of poll @p maxPolls,
+ * and co_await yields the number of polls made, that one included.
+ */
+class ParkedDelay
+{
+  public:
+    ParkedDelay(Kernel &kernel, Tick period, std::uint64_t tag,
+                std::uint64_t maxPolls)
+        : kernel_(kernel)
+    {
+        always_assert(maxPolls > 0, "a parked delay makes at least one poll");
+        poll_.period = period;
+        poll_.tag = tag;
+        poll_.maxReplayed = maxPolls - 1;
+    }
+
+    bool await_ready() const noexcept { return poll_.period == 0; }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        poll_.waiter = h;
+        kernel_.park(poll_);
+    }
+
+    std::uint64_t await_resume() const noexcept { return poll_.replayed + 1; }
+
+  private:
+    Kernel &kernel_;
+    ParkedPoll poll_;
+};
+
+/**
  * Awaitable that re-enters the coroutine in @p node's execution
  * context (at the current simulated time). The per-context transaction
  * drivers hop to their node before running transaction bodies, so that

@@ -111,12 +111,17 @@ class WorkloadGenerator
         if (cfg_.forcedLocalFraction < 0.0)
             return record_index;
         bool want_local = rng.chance(cfg_.forcedLocalFraction);
+        if (table_size == 0)
+            return record_index;
+        // One division to find the start; the probe then wraps.
+        std::uint64_t cand = record_index % table_size;
         for (std::uint64_t i = 0; i < table_size; ++i) {
-            std::uint64_t cand = (record_index + i) % table_size;
             NodeId home = static_cast<NodeId>(
                 mix64(recordBase_ + cand) % cfg_.numNodes);
             if ((home == node) == want_local)
                 return cand;
+            if (++cand == table_size)
+                cand = 0;
         }
         return record_index;
     }

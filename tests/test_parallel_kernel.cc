@@ -33,6 +33,7 @@
 #include "core/runner.hh"
 #include "net/network.hh"
 #include "sim/kernel.hh"
+#include "sim/task.hh"
 
 namespace
 {
@@ -500,6 +501,386 @@ TEST(ShardPropertyDeathTest, LaneClosedCrossLaneSendIsRefused)
         },
         "lookahead violated");
 }
+
+// ===========================================================================
+// Parked polls against the Delay loops they replace
+// ===========================================================================
+
+/** One event of a poll-model run: where it sat in the total order, and
+ *  what it did. */
+struct PollTraceEntry
+{
+    Tick when;
+    std::uint64_t key;
+    NodeId exec;
+    int what;
+
+    friend bool operator==(const PollTraceEntry &,
+                           const PollTraceEntry &) = default;
+};
+
+/** Everything a poll-model run leaves that parking must not change. */
+struct PollRun
+{
+    std::vector<std::vector<PollTraceEntry>> traces; //!< one per node
+    std::uint64_t events = 0;
+    std::uint64_t polls = 0; //!< as the pollers counted them
+    std::uint64_t barriers = 0;
+    std::uint64_t crossShard = 0;
+    Tick end = 0;
+};
+
+/** The executor a poll-model run uses. */
+struct PollExecutor
+{
+    std::uint32_t shards;
+    bool threaded;
+};
+
+/**
+ * A synthetic model of directory stalls. Each node runs pollers that,
+ * whenever the node is blocked, wait for it to clear -- with a Delay
+ * loop or with ParkedDelay -- and a chain of background events that
+ * block and release nodes, squash pollers and kill nodes at random,
+ * with delays drawn so that ticks tie often (with each other and with
+ * poll ticks). Every change of a poller's condition calls the wake
+ * that matches it; in the Delay variant nothing is parked, so the
+ * wakes do nothing. Each node's state and trace are touched only by
+ * its own events unless crossNode allows releases of other nodes
+ * (single-threaded executors only).
+ */
+class PollModel
+{
+  public:
+    static constexpr Tick kPeriod = 2;
+    static constexpr Tick kWindow = 40;
+    static constexpr std::uint64_t kMaxPolls = 24;
+    static constexpr std::uint32_t kPollers = 3;
+    static constexpr int kRounds = 30;
+    static constexpr int kBackground = 200;
+
+    enum What
+    {
+        Background,
+        Pass,
+        GaveUp,
+        Squashed,
+        Died,
+    };
+
+    PollModel(std::uint32_t nodes, bool parked, bool crossNode,
+              std::uint64_t seed)
+        : nodes_(nodes), parked_(parked), crossNode_(crossNode),
+          blockers_(nodes, 0), dead_(nodes, 0),
+          squashed_(nodes, std::vector<char>(kPollers, 0)),
+          traces_(nodes), rng_(nodes), polls_(nodes, 0)
+    {
+        for (NodeId n = 0; n < nodes; ++n)
+            rng_[n] = seed * 0x9e3779b97f4a7c15ULL + n + 1;
+    }
+
+    PollRun
+    run(const PollExecutor &ex)
+    {
+        if (ex.shards > 1) {
+            sim::ShardPlan plan;
+            plan.shards = ex.shards;
+            plan.numNodes = nodes_;
+            plan.windowTicks = kWindow;
+            plan.threaded = ex.threaded;
+            k_.configureSharding(plan);
+        }
+        for (NodeId n = 0; n < nodes_; ++n) {
+            // A node starts blocked half the time, so pollers stall at
+            // t = 0 too.
+            blockers_[n] = n % 2;
+            if (blockers_[n])
+                k_.scheduleAs(n, Tick(5 + 3 * n), [this, n] { release(n); });
+            for (std::uint32_t j = 0; j < kPollers; ++j)
+                poller(n, j);
+            k_.scheduleAs(n, Tick(n), [this, n] { background(n, 0); });
+        }
+        EXPECT_TRUE(k_.run());
+        PollRun out;
+        out.traces = traces_;
+        out.events = k_.eventsRun();
+        for (std::uint64_t p : polls_)
+            out.polls += p;
+        out.barriers = k_.windowBarriers();
+        out.crossShard = k_.crossShardEvents();
+        out.end = k_.now();
+        return out;
+    }
+
+  private:
+    std::uint64_t
+    draw(NodeId n)
+    {
+        std::uint64_t &x = rng_[n];
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        return x >> 33;
+    }
+
+    void
+    record(NodeId n, What what)
+    {
+        EXPECT_EQ(k_.currentNode(), n);
+        traces_[n].push_back(
+            PollTraceEntry{k_.now(), k_.currentKey(), n, int(what)});
+    }
+
+    void
+    release(NodeId n)
+    {
+        --blockers_[n];
+        // Every release wakes, as the Locking Buffer bank's hook does:
+        // a release that leaves the node blocked makes woken polls
+        // park again.
+        k_.wakeParked(n);
+    }
+
+    std::uint64_t tag(NodeId n, std::uint32_t j) const
+    {
+        return std::uint64_t{n} * kPollers + j;
+    }
+
+    sim::DetachedTask
+    poller(NodeId n, std::uint32_t j)
+    {
+        co_await sim::HopTo{k_, n};
+        for (int round = 0; round < kRounds; ++round) {
+            co_await sim::Delay{k_, Tick(draw(n) % 16 * 6)};
+            if (blockers_[n] > 0) {
+                std::uint64_t polls = 0;
+                do {
+                    const std::uint64_t before = polls;
+                    if (parked_) {
+                        // An exit already open when the poller parks has
+                        // had its wake: the next poll must run for real.
+                        const bool exiting = dead_[n] || squashed_[n][j];
+                        polls += co_await sim::ParkedDelay{
+                            k_, kPeriod, tag(n, j),
+                            exiting ? 1 : kMaxPolls - polls};
+                    } else {
+                        co_await sim::Delay{k_, kPeriod};
+                        ++polls;
+                    }
+                    polls_[n] += polls - before;
+                    if (dead_[n]) {
+                        record(n, Died);
+                        co_return;
+                    }
+                    if (squashed_[n][j]) {
+                        squashed_[n][j] = 0;
+                        record(n, Squashed);
+                        break;
+                    }
+                    if (polls >= kMaxPolls) {
+                        record(n, GaveUp);
+                        break;
+                    }
+                } while (blockers_[n] > 0);
+            }
+            record(n, Pass);
+        }
+    }
+
+    void
+    background(NodeId n, int step)
+    {
+        record(n, Background);
+        static constexpr Tick kDelays[] = {0, 1, 2, 4, 4, 8, 12, 3};
+        const std::uint64_t r = draw(n);
+        switch (r % 16) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+          case 4:
+          case 5:
+            // Block this node for a while; the release is an event of
+            // its own, at a tick that often is a poll tick.
+            ++blockers_[n];
+            k_.schedule(4 * (kDelays[r / 16 % 8] + 4),
+                        [this, n] { release(n); });
+            break;
+          case 6:
+            if (blockers_[n] > 0)
+                release(n);
+            break;
+          case 7: {
+            const std::uint32_t j = std::uint32_t(r / 16 % kPollers);
+            squashed_[n][j] = 1;
+            k_.wakeParked(n, tag(n, j));
+            break;
+          }
+          case 8:
+            if (r / 16 % 30 == 0 && !dead_[n]) {
+                dead_[n] = 1;
+                k_.wakeParked(n);
+            }
+            break;
+          case 9:
+            // Release another node from here: only the single-threaded
+            // executors allow it.
+            if (crossNode_) {
+                const NodeId m = NodeId(r / 16 % nodes_);
+                if (blockers_[m] > 0)
+                    release(m);
+            }
+            break;
+          default:
+            break;
+        }
+        if (step + 1 >= kBackground)
+            return;
+        if (r % 5 == 0) {
+            // A hop to another node, never inside the current window.
+            const NodeId m = NodeId((n + 1 + r / 7 % nodes_) % nodes_);
+            k_.scheduleAs(m, kWindow + Tick(r / 3 % 5),
+                          [this, m, step] { background(m, step + 1); });
+        } else {
+            k_.schedule(kDelays[r / 5 % 8],
+                        [this, n, step] { background(n, step + 1); });
+        }
+    }
+
+    sim::Kernel k_;
+    const std::uint32_t nodes_;
+    const bool parked_;
+    const bool crossNode_;
+    std::vector<int> blockers_;
+    std::vector<char> dead_;
+    std::vector<std::vector<char>> squashed_;
+    std::vector<std::vector<PollTraceEntry>> traces_;
+    std::vector<std::uint64_t> rng_;
+    std::vector<std::uint64_t> polls_;
+};
+
+void
+expectSameRun(const PollRun &want, const PollRun &got, const char *what)
+{
+    ASSERT_EQ(want.traces.size(), got.traces.size());
+    for (std::size_t n = 0; n < want.traces.size(); ++n)
+        EXPECT_TRUE(want.traces[n] == got.traces[n])
+            << what << ": node " << n << " traced differently";
+    EXPECT_EQ(want.events, got.events) << what;
+    EXPECT_EQ(want.polls, got.polls) << what;
+    EXPECT_EQ(want.end, got.end) << what;
+}
+
+TEST(ParkedPoll, ReleaseAtAPollTickResumesWhereTheDelayLoopDoes)
+{
+    // A poller stalls at t = 0 with period 4; the release lands at
+    // t = 8, a poll tick. A release scheduled at t = 0 sorts before the
+    // poll at 8 (whose key the poll at 4 draws), so the poll at 8 passes;
+    // one scheduled at t = 5 sorts after it, so the poll at 12 passes.
+    for (const Tick scheduledAt : {Tick(0), Tick(5)}) {
+        for (const bool parked : {false, true}) {
+            sim::Kernel k;
+            bool blocked = true;
+            Tick passedAt = -1;
+            std::uint64_t polls = 0;
+            auto poll = [&]() -> sim::DetachedTask {
+                co_await sim::HopTo{k, 0};
+                while (blocked) {
+                    if (parked) {
+                        polls += co_await sim::ParkedDelay{k, 4, 0, 1000};
+                    } else {
+                        co_await sim::Delay{k, 4};
+                        ++polls;
+                    }
+                }
+                passedAt = k.now();
+            };
+            poll();
+            k.scheduleAs(0, scheduledAt, [&] {
+                k.schedule(8 - scheduledAt, [&] {
+                    blocked = false;
+                    k.wakeParked(0);
+                });
+            });
+            EXPECT_TRUE(k.run());
+            const Tick want = scheduledAt == 0 ? 8 : 12;
+            EXPECT_EQ(passedAt, want) << "parked=" << parked;
+            EXPECT_EQ(polls, std::uint64_t(want / 4));
+            // HopTo, the two release events and the polls.
+            EXPECT_EQ(k.eventsRun(), 3 + polls);
+        }
+    }
+}
+
+TEST(ParkedPoll, UnwokenPollRunsForRealAtItsLastPoll)
+{
+    // Nothing wakes the poller and the queue drains while it is parked:
+    // the kernel still runs poll number maxPolls, at its own tick. A
+    // run stopped at a horizon first counts the polls before it.
+    sim::Kernel k;
+    std::uint64_t polls = 0;
+    Tick resumedAt = -1;
+    auto poll = [&]() -> sim::DetachedTask {
+        co_await sim::HopTo{k, 3};
+        polls = co_await sim::ParkedDelay{k, 7, 0, 500};
+        resumedAt = k.now();
+    };
+    poll();
+    EXPECT_FALSE(k.run(100));
+    EXPECT_EQ(k.eventsRun(), 1u + 100u / 7u);
+    EXPECT_TRUE(k.run());
+    EXPECT_EQ(polls, 500u);
+    EXPECT_EQ(resumedAt, Tick(7 * 500));
+    EXPECT_EQ(k.eventsRun(), 1u + 500u);
+}
+
+class ParkedPollDifferential
+    : public ::testing::TestWithParam<PollExecutor>
+{};
+
+TEST_P(ParkedPollDifferential, RandomSchedulesMatchTheDelayLoop)
+{
+    const PollExecutor ex = GetParam();
+    constexpr std::uint32_t kNodes = 6;
+    // Cross-node releases are legal only where one thread runs every
+    // lane.
+    for (const bool crossNode : {false, true}) {
+        if (crossNode && ex.threaded)
+            continue;
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            const PollRun oracle =
+                PollModel(kNodes, false, crossNode, seed).run({1, false});
+            const PollRun delay =
+                PollModel(kNodes, false, crossNode, seed).run(ex);
+            const PollRun parked =
+                PollModel(kNodes, true, crossNode, seed).run(ex);
+            std::size_t whats[5] = {};
+            for (const auto &t : oracle.traces)
+                for (const auto &e : t)
+                    ++whats[e.what];
+            ASSERT_GT(oracle.polls, 300u) << "the pollers barely polled";
+            ASSERT_GT(whats[PollModel::GaveUp], 0u);
+            ASSERT_GT(whats[PollModel::Squashed], 0u);
+            ASSERT_GT(whats[PollModel::Died], 0u);
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " crossNode " << crossNode);
+            expectSameRun(oracle, delay, "Delay loop vs serial oracle");
+            expectSameRun(delay, parked, "ParkedDelay vs Delay loop");
+            EXPECT_EQ(delay.barriers, parked.barriers);
+            EXPECT_EQ(delay.crossShard, parked.crossShard);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, ParkedPollDifferential,
+    ::testing::Values(PollExecutor{1, false}, PollExecutor{2, false},
+                      PollExecutor{4, false}, PollExecutor{2, true},
+                      PollExecutor{4, true}),
+    [](const ::testing::TestParamInfo<PollExecutor> &info) {
+        if (info.param.shards == 1)
+            return std::string("Serial");
+        return std::string(info.param.threaded ? "Threaded" : "Det") +
+               std::to_string(info.param.shards);
+    });
 
 // ===========================================================================
 // Differential harness: serial oracle vs --shards {2,4,8}

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <span>
+
 #include "core/runner.hh"
 #include "protocol/baseline.hh"
 #include "protocol/hades.hh"
@@ -406,6 +409,57 @@ TEST(HadesProtocol, TinyLockingBankCannotDeadlock)
     ASSERT_TRUE(sys.kernel.run()) << "locking-bank deadlock";
     EXPECT_EQ(engine->stats().committed, 8u * 25u);
     expectNoLeaks(sys);
+}
+
+/**
+ * A write on node 0 to a record whose line a read guard of a context
+ * that never finishes holds: the directory stall cannot resolve. The
+ * transaction runs in node 0's context, as the runner's drivers do, so
+ * the stall parks its retries. With @p keep_alive a timer on node 1
+ * keeps the queue busy far past the stall guard; without it the queue
+ * drains while the retries are parked.
+ */
+void
+stallForever(EngineKind kind, bool keep_alive)
+{
+    auto cfg = smallCluster(2);
+    System sys(cfg, 64,
+               core::engineRecordBytes(kind, cfg.recordPayloadBytes));
+    auto engine = core::makeEngine(kind, sys, cfg.recordPayloadBytes);
+    const std::uint64_t rec = recordHomedAt(sys, 0);
+    const Addr line = lineAddr(sys.placement.addrOf(rec));
+    const std::uint64_t holder = GlobalTxId{1, 0, 0}.pack();
+    always_assert(sys.node(0).lockBank.acquireReadGuard(
+                      holder, std::span<const Addr>(&line, 1)),
+                  "no free Locking Buffer");
+    auto drive = [](TxnEngine &e, txn::TxnProgram prog)
+        -> sim::DetachedTask {
+        co_await sim::HopTo{e.system().kernel, 0};
+        co_await e.run(ExecCtx{0, 0, 0}, prog);
+    };
+    drive(*engine, writeProgram(rec, 1));
+    std::function<void()> tick = [&] {
+        sys.kernel.scheduleAs(1, us(1), tick);
+    };
+    if (keep_alive)
+        sys.kernel.scheduleAs(1, us(1), tick);
+    sys.kernel.run();
+}
+
+TEST(HadesProtocolDeathTest, UnresolvedStallPanicsWhileEventsRun)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (auto kind : {EngineKind::Hades, EngineKind::HadesHybrid})
+        EXPECT_DEATH(stallForever(kind, true),
+                     "directory stall did not resolve");
+}
+
+TEST(HadesProtocolDeathTest, UnresolvedStallPanicsWhenTheQueueDrains)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (auto kind : {EngineKind::Hades, EngineKind::HadesHybrid})
+        EXPECT_DEATH(stallForever(kind, false),
+                     "directory stall did not resolve");
 }
 
 TEST(AllEngines, StatsPhasesPopulated)
