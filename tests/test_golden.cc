@@ -100,7 +100,8 @@ smallSpec(protocol::EngineKind engine)
 
 /** Rows for the paths the golden matrix does not reach: replication
  *  with recovery, a permanent crash, a membership join, a slow NIC with
- *  every grey-failure mitigation, and the forced lock-mode fallback. */
+ *  every grey-failure mitigation, the forced lock-mode fallback, and
+ *  lost replica-staging updates. */
 std::vector<std::pair<std::string, core::RunSpec>>
 extraPinnedSpecs()
 {
@@ -158,6 +159,24 @@ extraPinnedSpecs()
     lock.cluster.recovery.enabled = true;
     lock.cluster.tuning.maxSquashesBeforeLockMode = 1;
     rows.emplace_back("Baseline/lock-mode", lock);
+
+    // Baseline stages replicas only with recovery on.
+    auto repl = smallSpec(EngineKind::Baseline);
+    repl.replication.degree = 2;
+    repl.cluster.recovery.enabled = true;
+    rows.emplace_back("Baseline/replication", repl);
+
+    // Lost staging updates: the replica-timeout abort and its discard.
+    for (auto engine : {EngineKind::HadesHybrid, EngineKind::Hades,
+                        EngineKind::Baseline}) {
+        auto loss = smallSpec(engine);
+        loss.replication.degree = 2;
+        loss.replication.messageLossProbability = 0.05;
+        loss.cluster.recovery.enabled = true;
+        rows.emplace_back(
+            std::string(protocol::engineKindName(engine)) + "/replica-loss",
+            loss);
+    }
     return rows;
 }
 
@@ -201,6 +220,10 @@ constexpr std::uint64_t kPinnedDigests[] = {
     0x2fd391418c25fc69ULL,
     0xc56bf4fb352b2491ULL,
     0x784f10b4ad25331eULL,
+    0x96136f12a27b7b48ULL,
+    0xdb56d89a8736fa36ULL,
+    0x52c315477115ce81ULL,
+    0xded0b5a37e79530eULL,
 };
 
 /** ResultHasher::str digests of runResultJson() for the same rows: the
@@ -242,6 +265,10 @@ constexpr std::uint64_t kPinnedJsonDigests[] = {
     0x8913cc3a9e2c0495ULL,
     0x8229b67f3811a5b5ULL,
     0x59f36ef0b680f040ULL,
+    0xad82b5b6a3f7c823ULL,
+    0x73305ee2b90987d0ULL,
+    0xb46afc4da55421ceULL,
+    0x578ca326be73cef8ULL,
 };
 
 TEST(Golden, PinnedDigestsMatchParent)

@@ -177,15 +177,25 @@ TEST(ReplicatedCommit, ReplicationCostsThroughput)
 
 TEST(ReplicatedCommit, LossInjectionAbortsButStaysCorrect)
 {
-    auto res = core::runOne(replicatedSpec(2, /*loss=*/0.05));
-    EXPECT_GT(res.lostReplicaMessages, 0u);
-    EXPECT_GT(res.stats
-                  .squashes[std::size_t(
-                      txn::SquashReason::ReplicaTimeout)],
-              0u)
-        << "lost replica updates must abort transactions";
-    // Every context still finishes its quota.
-    EXPECT_EQ(res.stats.committed, 8u * 40u);
+    for (auto engine : {protocol::EngineKind::Hades,
+                        protocol::EngineKind::HadesHybrid,
+                        protocol::EngineKind::Baseline}) {
+        auto spec = replicatedSpec(2, /*loss=*/0.05);
+        spec.engine = engine;
+        // Baseline and HADES-H stage replicas only with recovery on.
+        spec.cluster.recovery.enabled =
+            engine != protocol::EngineKind::Hades;
+        const char *name = protocol::engineKindName(engine);
+        auto res = core::runOne(spec);
+        EXPECT_GT(res.lostReplicaMessages, 0u) << name;
+        EXPECT_GT(res.stats
+                      .squashes[std::size_t(
+                          txn::SquashReason::ReplicaTimeout)],
+                  0u)
+            << name << ": lost replica updates must abort transactions";
+        // Every context still finishes its quota.
+        EXPECT_EQ(res.stats.committed, 8u * 40u) << name;
+    }
 }
 
 /** Direct System-level check: committed values are durable on backups. */
