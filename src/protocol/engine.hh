@@ -10,8 +10,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "protocol/system.hh"
 #include "sim/task.hh"
@@ -86,8 +89,10 @@ struct Fanout
 class TxnEngine
 {
   public:
-    explicit TxnEngine(System &sys)
-        : sys_(sys), statsByNode_(sys.config.numNodes + 1),
+    /** @p payload_bytes is the payload size of the run's records. */
+    TxnEngine(System &sys, std::uint32_t payload_bytes)
+        : sys_(sys), layout_(payload_bytes),
+          statsByNode_(sys.config.numNodes + 1),
           epochsByNode_(sys.config.numNodes)
     {
     }
@@ -319,13 +324,13 @@ class TxnEngine
     }
 
     /** Layout of the record a request targets (index nodes carry their
-     *  own size; data records use the run default @p def). */
-    static txn::RecordLayout
-    layoutOf(const txn::Request &req, const txn::RecordLayout &def)
+     *  own size; data records use the run default layout_). */
+    txn::RecordLayout
+    layoutOf(const txn::Request &req) const
     {
         return req.recordPayloadBytes
                    ? txn::RecordLayout{req.recordPayloadBytes}
-                   : def;
+                   : layout_;
     }
 
     /** True when the fault-injection layer is active. Every recovery
@@ -383,35 +388,134 @@ class TxnEngine
         return false;
     }
 
-    /**
-     * SLO-adaptive replica-ack deadline: stretch @p base by the worst
-     * observed slowness across every peer the attempt's ack counter
-     * awaits -- the @p plan backups plus, for the HADES engines,
-     * @p also_awaited (the Intend-to-commit fan-out shares the same
-     * counter, so a slow ITC ack must not lose the race against an
-     * un-inflated deadline). A fail-slow peer then reads as slow
-     * instead of dead -- without this, a fixed deadline false-timeouts
-     * every commit touching the victim and the retry loop goes
-     * metastable (the hedged read path cannot help, since the replica
-     * set is fixed). Identity when the SLO tracker is off or still
-     * warming up.
-     */
-    template <class Plan>
-    Tick
-    replicaDeadline(const ExecCtx &ctx, const Plan &plan, Tick base,
-                    const std::set<NodeId> *also_awaited = nullptr) const
+    /** Section V-A replica plan: each backup and the (record, value)
+     *  updates it stages. Ordered: staging, promotion and discard
+     *  iterate it, and the order reaches message timing. */
+    using ReplicaPlan = std::map<
+        NodeId, std::vector<std::pair<std::uint64_t, std::int64_t>>>;
+
+    /** Add the write of @p value to @p record (homed at @p home) to the
+     *  plan of each of the record's backups. */
+    void
+    planReplicas(ReplicaPlan &plan, std::uint64_t record, NodeId home,
+                 std::int64_t value) const
     {
-        if (!sys_.slo)
-            return base;
+        for (NodeId b : sys_.replicas->backupsOf(record, home))
+            plan[b].emplace_back(record, value);
+    }
+
+    /**
+     * Section V-A staging of attempt @p id: each backup of @p plan
+     * stages its updates in temporary durable storage, persists them
+     * and Acks. Every delivered Ack feeds the SLO tracker (hedge wins
+     * attribute read samples to the fast replica, so without these the
+     * tracker is blind to a slow backup) and then runs @p on_ack(b),
+     * which must absorb replayed Acks. A lost update (failure
+     * injection) never Acks; @p on_deadline runs at the staging
+     * deadline whatever arrived.
+     *
+     * The deadline adapts to the SLO: the base is stretched by the
+     * worst observed slowness across every peer the attempt's ack
+     * counter awaits -- the plan's backups plus @p also_awaited (the
+     * HADES Intend-to-commit fan-out shares the counter, so a slow ITC
+     * Ack must not lose the race against an un-inflated deadline). A
+     * fail-slow peer then reads as slow instead of dead; a fixed
+     * deadline would false-timeout every commit touching it and the
+     * retry loop would go metastable. Identity when the SLO tracker is
+     * off or still warming up.
+     */
+    template <class OnAck, class OnDeadline>
+    void
+    stageReplicas(const ExecCtx &ctx, std::uint64_t id,
+                  const ReplicaPlan &plan, OnAck on_ack,
+                  OnDeadline on_deadline,
+                  const std::set<NodeId> *also_awaited = nullptr)
+    {
+        if (plan.empty())
+            return;
+        const Tick persist = sys_.replicas->config().persistLatency();
+        const Tick sent_at = sys_.kernel.now();
+        const NodeId x = ctx.node;
+        auto ack = [this, on_ack, sent_at, x](NodeId b) {
+            if (sys_.slo)
+                sys_.slo->observe(x, b, sys_.kernel.now() - sent_at);
+            on_ack(b);
+        };
+        for (const auto &[b, updates] : plan) {
+            if (sys_.replicas->injectLoss())
+                continue; // the update never arrives: no Ack
+            auto stage = [this, id, payload = updates, b] {
+                auto &store = sys_.replicas->store(b);
+                for (const auto &[rec, val] : payload)
+                    store.stage(id, rec, val);
+            };
+            if (b == x) {
+                sys_.kernel.schedule(persist, [stage, ack, b] {
+                    stage();
+                    ack(b);
+                });
+                continue;
+            }
+            sys_.network.post(
+                net::MsgType::RdmaWrite, x, b,
+                std::uint32_t(updates.size() *
+                              (layout_.payloadBytes() + 16)),
+                [this, stage, ack, persist, b, x] {
+                    stage();
+                    // Persist, then Ack over the wire.
+                    sys_.kernel.schedule(persist, [this, ack, b, x] {
+                        sys_.network.post(net::MsgType::Ack, b, x, 16,
+                                          [ack, b] { ack(b); });
+                    });
+                });
+        }
         std::uint32_t worst = 100;
-        for (const auto &kv : plan)
-            worst = std::max(worst,
-                             sys_.slo->inflationPct(ctx.node, kv.first));
-        if (also_awaited)
-            for (NodeId y : *also_awaited)
-                worst = std::max(worst,
-                                 sys_.slo->inflationPct(ctx.node, y));
-        return base * Tick(worst) / 100;
+        if (sys_.slo) {
+            for (const auto &kv : plan)
+                worst = std::max(worst, sys_.slo->inflationPct(x, kv.first));
+            if (also_awaited)
+                for (NodeId y : *also_awaited)
+                    worst = std::max(worst, sys_.slo->inflationPct(x, y));
+        }
+        const Tick base = 4 * sys_.config.netRoundTrip + 2 * persist + us(2);
+        sys_.kernel.schedule(base * Tick(worst) / 100,
+                             std::move(on_deadline));
+    }
+
+    /**
+     * Section V-A second phase for attempt @p id: promote the images
+     * staged at the @p plan backups to durable storage under
+     * @p commit_seq, or discard them when it is empty (abort). Remote
+     * backups are told over @p verb, which the fault judge and the
+     * message counters see. Both store operations are idempotent
+     * (max-seq-wins absorbs reordered promotes), so replayed copies of
+     * the reliable post are no-ops.
+     */
+    void
+    settleReplicas(const ExecCtx &ctx, std::uint64_t id,
+                   const ReplicaPlan &plan, net::MsgType verb,
+                   std::optional<std::uint64_t> commit_seq)
+    {
+        if (plan.empty())
+            return;
+        if (commit_seq)
+            sys_.replicas->noteCommit();
+        else
+            sys_.replicas->noteAbort();
+        for (const auto &kv : plan) {
+            const NodeId b = kv.first;
+            auto settle = [this, b, id, commit_seq] {
+                auto &store = sys_.replicas->store(b);
+                if (commit_seq)
+                    store.promote(id, *commit_seq);
+                else
+                    store.discard(id);
+            };
+            if (b == ctx.node)
+                settle();
+            else
+                reliablePost(verb, ctx.node, b, 16, settle);
+        }
     }
 
     /**
@@ -590,6 +694,8 @@ class TxnEngine
     }
 
     System &sys_;
+    /** Layout of the run's data records. */
+    const txn::RecordLayout layout_;
     /** Per-node stats buckets + control bucket (see st()). */
     std::vector<txn::EngineStats> statsByNode_;
     /** Per-node attempt-epoch counters (see attemptId()). */

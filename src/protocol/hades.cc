@@ -472,7 +472,7 @@ class HadesEngine::SwPath final : public LocalPath
     indexRead(ExecCtx ctx, NodeId home, const txn::Request &req,
               AddrRange) override
     {
-        const txn::RecordLayout lay = layoutOf(req, e_.layout_);
+        const txn::RecordLayout lay = e_.layoutOf(req);
         co_await e_.indexRead(
             ctx, home,
             AddrRange{sys_.placement.addrOf(req.record), lay.swBytes()});
@@ -545,7 +545,7 @@ HadesEngine::SwPath::access(ExecCtx ctx, AttemptPtr at,
     auto &node = sys_.node(ctx.node);
     const auto &costs = sys_.config.costs;
     const Addr base = sys_.placement.addrOf(req.record);
-    const txn::RecordLayout lay = layoutOf(req, e_.layout_);
+    const txn::RecordLayout lay = e_.layoutOf(req);
     const std::uint32_t record_lines = lay.swLines();
 
     // Software accesses still traverse the directory when they miss in
@@ -701,11 +701,10 @@ HadesEngine::SwPath::validate(ExecCtx ctx, AttemptPtr at)
 
 HadesEngine::HadesEngine(System &sys, std::uint32_t payload_bytes,
                          EngineKind kind)
-    : TxnEngine(sys),
+    : TxnEngine(sys, payload_bytes),
       localTxns_(kind == EngineKind::Hades || recoveryOn()
                      ? sys.config.numNodes
-                     : 0),
-      layout_(payload_bytes)
+                     : 0)
 {
     if (kind == EngineKind::Hades)
         local_ = std::make_unique<HwPath>(*this);
@@ -1003,9 +1002,33 @@ HadesEngine::commit(ExecCtx ctx, AttemptPtr at)
                 spawnIntendToCommit(y, at, itc_lines);
             });
     }
+    // Section V-A: the backups' staging Acks share the commit's ack
+    // counter, and a missing one squashes the attempt at the deadline.
     if (sys_.replicas &&
-        (!local_->profile.replicateOnlyWithRecovery || recoveryOn()))
-        stageReplicas(ctx, at);
+        (!local_->profile.replicateOnlyWithRecovery || recoveryOn())) {
+        for (const auto &w : at->localWrites)
+            planReplicas(at->replicas, w.record, ctx.node, w.value);
+        for (const auto &[rec, hv] : at->writeBuffer)
+            planReplicas(at->replicas, rec, hv.first, hv.second);
+        at->acksPending += std::uint32_t(at->replicas.size());
+        stageReplicas(
+            ctx, id, at->replicas,
+            [this, at](NodeId b) {
+                if (at->finished || at->ctrl.squashRequested ||
+                    !at->replicaAckedBy.insert(b).second ||
+                    at->acksPending == 0)
+                    return; // late, or a replayed staging Ack
+                if (--at->acksPending == 0)
+                    at->ctrl.wake.notify(sys_.kernel);
+            },
+            [this, at] {
+                if (!at->finished && !at->ctrl.uncommittable &&
+                    at->acksPending > 0)
+                    sys_.routerFor(at->id).squash(
+                        sys_.kernel, at->id, SquashReason::ReplicaTimeout);
+            },
+            &at->nodesInvolved);
+    }
 
     // Faults on: a lost Intend-to-commit or Ack would strand the wait
     // below, so arm the commit resend timer chain (CommitTimeout squash
@@ -1057,93 +1080,14 @@ HadesEngine::commit(ExecCtx ctx, AttemptPtr at)
         else if (step == Step::PostValidations)
             postValidations(ctx, at);
         else
-            promoteReplicas(ctx, at, commit_seq);
+            settleReplicas(ctx, id, at->replicas, MsgType::Validation,
+                           commit_seq);
     }
 
     // --- Step 6: unlock the local directory and clear local state ------------
     co_await core.occupy(cycles(6));
     node.lockBank.release(id);
     at->localDirLocked = false;
-}
-
-void
-HadesEngine::stageReplicas(const ExecCtx &ctx, const AttemptPtr &at)
-{
-    // Each backup stages the update in temporary durable storage,
-    // persists it, and Acks; a lost update (failure injection) leaves
-    // the Ack count short and the deadline below aborts the
-    // transaction.
-    std::map<NodeId, std::vector<std::pair<std::uint64_t, std::int64_t>>>
-        plan;
-    for (const auto &w : at->localWrites)
-        for (NodeId b : sys_.replicas->backupsOf(w.record, ctx.node))
-            plan[b].emplace_back(w.record, w.value);
-    for (const auto &[rec, hv] : at->writeBuffer)
-        for (NodeId b : sys_.replicas->backupsOf(rec, hv.first))
-            plan[b].emplace_back(rec, hv.second);
-    at->acksPending += std::uint32_t(plan.size());
-    const Tick persist = sys_.replicas->config().persistLatency();
-    // Replica acks are RTT observations too: without them the tracker
-    // is blind to a slow backup (hedge wins attribute the read samples
-    // to the fast replica) and replicaDeadline never inflates.
-    const Tick sentAt = sys_.kernel.now();
-    const NodeId obs = ctx.node;
-    auto ack = [this, at, sentAt, obs](NodeId b) {
-        if (sys_.slo)
-            sys_.slo->observe(obs, b, sys_.kernel.now() - sentAt);
-        if (at->finished || at->ctrl.squashRequested)
-            return;
-        if (!at->replicaAckedBy.insert(b).second)
-            return; // replayed staging Ack
-        if (at->acksPending > 0) {
-            at->acksPending -= 1;
-            if (at->acksPending == 0)
-                at->ctrl.wake.notify(sys_.kernel);
-        }
-    };
-    const std::uint64_t id = at->id;
-    for (auto &[b, updates] : plan) {
-        at->replicaNodes.insert(b);
-        if (sys_.replicas->injectLoss())
-            continue; // the update never arrives: no Ack
-        auto payload = updates;
-        if (b == ctx.node) {
-            sys_.kernel.schedule(persist, [this, id, payload, ack, b] {
-                auto &store = sys_.replicas->store(b);
-                for (const auto &[rec, val] : payload)
-                    store.stage(id, rec, val);
-                ack(b);
-            });
-        } else {
-            NodeId x = ctx.node;
-            sys_.network.post(
-                MsgType::RdmaWrite, ctx.node, b,
-                std::uint32_t(payload.size() *
-                              (layout_.payloadBytes() + 16)),
-                [this, id, payload, ack, persist, b, x] {
-                    auto &store = sys_.replicas->store(b);
-                    for (const auto &[rec, val] : payload)
-                        store.stage(id, rec, val);
-                    // Persist, then Ack over the wire.
-                    sys_.kernel.schedule(persist, [this, ack, b, x] {
-                        sys_.network.post(MsgType::Ack, b, x, 16,
-                                          [ack, b] { ack(b); });
-                    });
-                });
-        }
-    }
-    if (!plan.empty()) {
-        Tick deadline = replicaDeadline(
-            ctx, plan, 4 * sys_.config.netRoundTrip + 2 * persist + us(2),
-            &at->nodesInvolved);
-        sys_.kernel.schedule(deadline, [this, at] {
-            if (!at->finished && !at->ctrl.uncommittable &&
-                at->acksPending > 0) {
-                sys_.routerFor(at->id).squash(sys_.kernel, at->id,
-                                              SquashReason::ReplicaTimeout);
-            }
-        });
-    }
 }
 
 void
@@ -1188,30 +1132,6 @@ HadesEngine::postValidations(const ExecCtx &ctx, const AttemptPtr &at)
                 ynode.lockBank.release(id);
                 ynode.nic.clearRemoteFilters(id);
             });
-    }
-}
-
-void
-HadesEngine::promoteReplicas(const ExecCtx &ctx, const AttemptPtr &at,
-                             std::uint64_t commit_seq)
-{
-    // The Validation of Section V-A's two-phase durability.
-    if (!sys_.replicas || at->replicaNodes.empty())
-        return;
-    const std::uint64_t id = at->id;
-    sys_.replicas->noteCommit();
-    for (NodeId b : at->replicaNodes) {
-        if (b == ctx.node) {
-            sys_.replicas->store(b).promote(id, commit_seq);
-        } else {
-            // promote() is idempotent: replayed copies are no-ops, and
-            // max-seq-wins absorbs reordered deliveries.
-            reliablePost(MsgType::Validation, ctx.node, b, 16,
-                         [this, b, id, commit_seq] {
-                             sys_.replicas->store(b).promote(id,
-                                                             commit_seq);
-                         });
-        }
     }
 }
 
@@ -1431,7 +1351,8 @@ HadesEngine::cleanupAborted(ExecCtx ctx, AttemptPtr at)
         if (step == Step::CleanupRemote)
             co_await cleanupRemote(ctx, at);
         else
-            discardReplicas(ctx, at);
+            settleReplicas(ctx, id, at->replicas, MsgType::Squash,
+                           std::nullopt);
     }
 }
 
@@ -1464,24 +1385,6 @@ HadesEngine::cleanupRemote(ExecCtx ctx, AttemptPtr at)
                              sys_.node(y).lockBank.release(id);
                              sys_.node(y).nic.clearRemoteFilters(id);
                          });
-        }
-    }
-}
-
-void
-HadesEngine::discardReplicas(const ExecCtx &ctx, const AttemptPtr &at)
-{
-    if (!sys_.replicas || at->replicaNodes.empty())
-        return;
-    const std::uint64_t id = at->id;
-    sys_.replicas->noteAbort();
-    for (NodeId b : at->replicaNodes) {
-        if (b == ctx.node) {
-            sys_.replicas->store(b).discard(id);
-        } else {
-            reliablePost(MsgType::Squash, ctx.node, b, 16, [this, b, id] {
-                sys_.replicas->store(b).discard(id);
-            });
         }
     }
 }
@@ -1520,7 +1423,7 @@ HadesEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
             checkSquash(at);
 
             const NodeId home = sys_.placement.homeOf(req.record);
-            const txn::RecordLayout lay = layoutOf(req, layout_);
+            const txn::RecordLayout lay = layoutOf(req);
             const Addr base =
                 sys_.placement.addrOf(req.record) +
                 (local_->profile.recordMetadata ? lay.swPayloadOffset()

@@ -145,8 +145,8 @@ class HadesEngine : public TxnEngine
             writeBuffer;
         /** Remote nodes this attempt touched (Module 4b lower struct). */
         std::set<NodeId> nodesInvolved;
-        /** Backup nodes holding staged replica updates (Section V-A). */
-        std::set<NodeId> replicaNodes;
+        /** Replica updates staged at the backups (Section V-A). */
+        ReplicaPlan replicas;
         std::uint32_t acksPending = 0;
         /** Nodes whose commit Ack arrived (dedupes replayed Acks and
          *  selects the targets of a timeout resend). */
@@ -194,16 +194,8 @@ class HadesEngine : public TxnEngine
     /** The commit sequence of Table II (both sides). */
     sim::Task commit(ExecCtx ctx, AttemptPtr at);
 
-    /** Section V-A: stage the write set at the backups; their Acks
-     *  share the commit's ack counter. */
-    void stageReplicas(const ExecCtx &ctx, const AttemptPtr &at);
-
     /** Post the Validation (with its updates) to every involved node. */
     void postValidations(const ExecCtx &ctx, const AttemptPtr &at);
-
-    /** Promote staged replica images to permanent durable storage. */
-    void promoteReplicas(const ExecCtx &ctx, const AttemptPtr &at,
-                         std::uint64_t commit_seq);
 
     /** Process an Intend-to-commit at remote node @p y (NIC offload).
      *  Runs as a coroutine on y's lane; every structure it touches --
@@ -230,9 +222,6 @@ class HadesEngine : public TxnEngine
 
     /** Drop the attempt's filters and locks at every involved node. */
     sim::Task cleanupRemote(ExecCtx ctx, AttemptPtr at);
-
-    /** Abort message to the replica nodes: drop staged images. */
-    void discardReplicas(const ExecCtx &ctx, const AttemptPtr &at);
 
     /** Send one commit Ack from @p y back to the committer (idempotent
      *  at the receiver via Attempt::ackedBy). */
@@ -272,7 +261,6 @@ class HadesEngine : public TxnEngine
      *  victims. */
     std::vector<std::map<std::uint64_t, AttemptPtr>> localTxns_;
 
-    txn::RecordLayout layout_;
     std::unique_ptr<LocalPath> local_;
 };
 
