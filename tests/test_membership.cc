@@ -137,6 +137,41 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, Membership,
                              return std::string(engineTag(info.param));
                          });
 
+// --- the handoff fence ---------------------------------------------------------
+
+TEST(Membership, BaselineHonoursADeliveredStalePlacementSquash)
+{
+    // A migration batch squashes the in-flight attempts that touched a
+    // record and, when the router reports Delivered, moves the record
+    // in the same batch. An attempt that ignores the squash keeps
+    // writing at the old home; on these seeds that closed a dependency
+    // cycle, and the auditor panicked.
+    for (std::uint64_t seed : {24u, 25u, 33u, 54u, 55u}) {
+        core::RunSpec spec;
+        spec.engine = EngineKind::Baseline;
+        spec.cluster.numNodes = 5;
+        spec.cluster.coresPerNode = 2;
+        spec.cluster.slotsPerCore = 2;
+        spec.cluster.seed = seed;
+        spec.mix = {core::MixEntry{workload::AppKind::YcsbA,
+                                   kvs::StoreKind::HashTable}};
+        spec.txnsPerContext = 40;
+        spec.scaleKeys = 300;
+        spec.replication.degree = 1;
+        spec.cluster.recovery.enabled = true;
+        spec.cluster.membership.initialMembers = 4;
+        spec.cluster.membership.joins.push_back({NodeId(4), us(10)});
+        spec.cluster.membership.drains.push_back({NodeId(1), us(30)});
+        spec.cluster.membership.migrateBatchRecords = 4;
+        spec.audit = true;
+        auto res = core::runOne(spec);
+        EXPECT_TRUE(res.membershipComplete) << "seed " << seed;
+        EXPECT_GT(res.stalePlacementRetries, 0u)
+            << "seed " << seed << ": no squash was honoured";
+        EXPECT_EQ(res.divergentRecords, 0u) << "seed " << seed;
+    }
+}
+
 // --- shard-count invariance (the acceptance criterion) ------------------------
 
 TEST(Membership, YcsbAJoinDrainIsBitIdenticalAcrossShardCounts)
