@@ -18,6 +18,11 @@ plus R3X/R4X: iteration over unordered containers and pointer-keyed
 ordering, with range and key types resolved across files. They are the
 only checks for either hazard and honour `det-lint: ordered-ok`.
 
+plus the determinism line patterns (config.DET_PATTERNS): randomness,
+wall-clock, thread-identity and float-control, regexes over each
+comment-stripped source line with the rng.hh/time.hh allowlist. Any
+`det-lint:` marker on the line or the line above suppresses them.
+
 Two interchangeable frontends produce the same semantic IR:
 
   * parse_clang    -- real `clang++ -Xclang -ast-dump=json` dumps,

@@ -105,13 +105,79 @@ R3_UNORDERED_RE = re.compile(
 R4_ORDERED_TMPL_RE = re.compile(
     r"\bstd::(map|set|multimap|multiset|priority_queue)\s*<")
 
+# --- D-rules: determinism line patterns ----------------------------------------
+
+# Source patterns that break bit-reproducible runs, matched per line
+# with `//` comments stripped. Each rule maps to (pattern, message).
+#
+#   randomness       rand()/srand(), std::random_device, the standard
+#                    engines. All randomness flows through the seeded
+#                    Rng in src/common/rng.hh.
+#   wall-clock       time(), gettimeofday, clock_gettime, std::chrono
+#                    clocks. Simulated time comes from the kernel;
+#                    src/common/time.hh owns the only conversions.
+#   thread-identity  std::this_thread::get_id(), pthread_self(),
+#                    gettid(), a stored std::thread::id. The OS thread
+#                    that runs a lane is arbitrary under the threaded
+#                    executor; lane identity comes from laneOf(node).
+#   float-control    a float/double declaration of, or floating-point
+#                    accumulation into, smoothed control state (ewma,
+#                    slo, health, admission, retry budget). Control
+#                    decisions use fixed-point integers (the Q8 EWMA in
+#                    src/net/slo_tracker.hh) so a classification flips
+#                    at the same sample on every platform and compiler.
+#                    Report metrics stay double: they never feed back.
+
+_R6_NAME = (r"\w*(?:[Ee]wma|[Ss]lo[A-Z_]|SLO|[Hh]ealth[A-Z_]|"
+            r"[Rr]etry[Bb]udget|[Aa]dmission)\w*")
+
+DET_PATTERNS = {
+    "randomness": (
+        re.compile(
+            r"\b(?:std::)?(?:rand|srand|rand_r|drand48|lrand48)\s*\(|"
+            r"\bstd::random_device\b|\bstd::mt19937(?:_64)?\b|"
+            r"\bstd::minstd_rand0?\b|\bstd::default_random_engine\b"),
+        "uncontrolled randomness; use common/rng.hh"),
+    "wall-clock": (
+        re.compile(
+            r"\bstd::chrono::(?:system|steady|high_resolution)_clock\b|"
+            r"\b(?:gettimeofday|clock_gettime|localtime|gmtime)\s*\(|"
+            r"(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0|&)"),
+        "wall-clock time; simulated time only"),
+    "thread-identity": (
+        re.compile(
+            r"\bstd::this_thread::get_id\s*\(|\bpthread_self\s*\(|"
+            r"(?<![\w:])gettid\s*\(|\bstd::thread::id\b"),
+        "thread identity as data; lane identity comes from "
+        "laneOf(node), not the OS thread"),
+    "float-control": (
+        re.compile(
+            # A float/double declaration of control state...
+            r"\b(?:float|double)\s+(?:\w+\s+)?%s\s*[;={]|"
+            # ...or accumulating into it with floating-point arithmetic.
+            r"\b%s\s*(?:\+=|-=|\*=)\s*[^;]*"
+            r"(?:\d\.\d*\b|\bfloat\b|\bdouble\b)" % (_R6_NAME, _R6_NAME)),
+        "floating-point accumulation in control state; smoothed "
+        "SLO/admission state must be fixed-point (see the Q8 EWMA in "
+        "src/net/slo_tracker.hh)"),
+}
+
+# Files allowed to use the primitives they encapsulate.
+DET_ALLOWLIST = {
+    "src/common/rng.hh": {"randomness"},
+    "src/common/time.hh": {"wall-clock"},
+}
+
 # --- suppression ------------------------------------------------------------
 
 SUPPRESS_RE = re.compile(
     r"hades-analyze:\s*([a-z0-9-]+)-ok(?:\s*\(([^)]*)\))?")
 DET_LINT_OK_RE = re.compile(r"det-lint:\s*ordered-ok")
+# The D-rules honour any `det-lint:` marker.
+DET_LINT_ANY_RE = re.compile(r"det-lint:")
 
 ALL_RULES = (
     "lane-escape", "verb-totality", "verb-reliability", "epoch-fence",
-    "unordered-iter", "pointer-order", "suppression",
+    "unordered-iter", "pointer-order", "randomness", "wall-clock",
+    "thread-identity", "float-control", "suppression",
 )

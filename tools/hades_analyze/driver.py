@@ -93,6 +93,9 @@ def run_rules(index, selected):
         report["unresolved_ranges"] = unresolved
     if want("pointer-order"):
         findings += R.rule_pointer_order(index, supp)
+    for rule in C.DET_PATTERNS:
+        if want(rule):
+            findings += R.rule_det_pattern(index, supp, rule)
     if want("suppression"):
         findings += supp.marker_findings()
 

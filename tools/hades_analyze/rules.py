@@ -15,6 +15,7 @@ lambdas the covered code creates (the lambda only exists in runs where
 its creator ran).
 """
 
+import os
 import re
 
 from . import config as C
@@ -29,7 +30,8 @@ class Suppressor:
     a finding's line or the line above. A marker with no justification
     does not suppress -- it becomes its own finding (rule
     'suppression'). R3X/R4X additionally honor the pre-existing
-    `det-lint: ordered-ok` markers."""
+    `det-lint: ordered-ok` markers, and the D-rules any `det-lint:`
+    marker."""
 
     DET_LINT_RULES = {"unordered-iter", "pointer-order"}
 
@@ -52,6 +54,9 @@ class Suppressor:
             if rule in self.DET_LINT_RULES and C.DET_LINT_OK_RE.search(text):
                 self.used.add((path, ln, rule))
                 return True, "det-lint: ordered-ok"
+            if rule in C.DET_PATTERNS and C.DET_LINT_ANY_RE.search(text):
+                self.used.add((path, ln, rule))
+                return True, "det-lint"
         return False, ""
 
     def marker_findings(self):
@@ -783,4 +788,28 @@ def rule_pointer_order(index, supp):
             if v.type_spelling.startswith("auto"):
                 continue
             check(v.name, v.type_spelling, v.file, v.line, "local")
+    return findings
+
+
+# --- D-rules: determinism line patterns ---------------------------------------
+
+def rule_det_pattern(index, supp, rule):
+    """The determinism line patterns (config.DET_PATTERNS; formerly
+    det-lint R1, R2, R5 and R6): a regex over each source line with its
+    `//` comment stripped, so commented-out code is not flagged."""
+    pattern, message = C.DET_PATTERNS[rule]
+    findings = []
+    for f in index.files:
+        if rule in C.DET_ALLOWLIST.get(f.path, ()):
+            continue
+        with open(os.path.join(index.repo, f.path), "r", encoding="utf-8",
+                  errors="replace") as fh:
+            lines = fh.read().splitlines()
+        for i, raw in enumerate(lines, 1):
+            if not pattern.search(raw.split("//", 1)[0]):
+                continue
+            ok, _ = supp.find(f.path, i, rule)
+            if not ok:
+                findings.append(Finding(rule, f.path, i, message,
+                                        raw.strip()))
     return findings
