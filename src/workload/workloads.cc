@@ -71,7 +71,7 @@ class YcsbGenerator : public WorkloadGenerator
     void
     bind(mem::Placement &placement, std::uint64_t record_base) override
     {
-        recordBase_ = record_base;
+        attach(placement, record_base);
         store_->populate(placement, cfg_.scaleKeys, record_base);
     }
 
@@ -172,9 +172,9 @@ class TpccGenerator : public WorkloadGenerator
     std::uint64_t numRecords() const override { return total_; }
 
     void
-    bind(mem::Placement &, std::uint64_t record_base) override
+    bind(mem::Placement &placement, std::uint64_t record_base) override
     {
-        recordBase_ = record_base;
+        attach(placement, record_base);
     }
 
     TxnProgram
@@ -286,9 +286,9 @@ class TatpGenerator : public WorkloadGenerator
     std::uint64_t numRecords() const override { return total_; }
 
     void
-    bind(mem::Placement &, std::uint64_t record_base) override
+    bind(mem::Placement &placement, std::uint64_t record_base) override
     {
-        recordBase_ = record_base;
+        attach(placement, record_base);
     }
 
     TxnProgram
@@ -368,9 +368,9 @@ class SmallbankGenerator : public WorkloadGenerator
     std::uint64_t numRecords() const override { return total_; }
 
     void
-    bind(mem::Placement &, std::uint64_t record_base) override
+    bind(mem::Placement &placement, std::uint64_t record_base) override
     {
-        recordBase_ = record_base;
+        attach(placement, record_base);
     }
 
     TxnProgram

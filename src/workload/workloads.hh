@@ -116,8 +116,9 @@ class WorkloadGenerator
         // One division to find the start; the probe then wraps.
         std::uint64_t cand = record_index % table_size;
         for (std::uint64_t i = 0; i < table_size; ++i) {
-            NodeId home = static_cast<NodeId>(
-                mix64(recordBase_ + cand) % cfg_.numNodes);
+            // The static home, not homeOf(): it is a pure function of
+            // the id, so next() stays one of (rng, node).
+            NodeId home = placement_->staticHomeOf(recordBase_ + cand);
             if ((home == node) == want_local)
                 return cand;
             if (++cand == table_size)
@@ -126,7 +127,17 @@ class WorkloadGenerator
         return record_index;
     }
 
+    /** Every bind() starts here: keep the placement and this
+     *  workload's first record id. */
+    void
+    attach(const mem::Placement &placement, std::uint64_t record_base)
+    {
+        placement_ = &placement;
+        recordBase_ = record_base;
+    }
+
     WorkloadConfig cfg_;
+    const mem::Placement *placement_ = nullptr;
     std::uint64_t recordBase_ = 0;
 };
 
