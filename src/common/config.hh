@@ -119,11 +119,6 @@ struct RobustnessTuning
      *  timeout-triggered resend rounds without a full Ack set the
      *  committer squashes itself (CommitTimeout) and retries. */
     std::uint32_t maxCommitResends = 10;
-    /** reliablePost resend budget; 0 means unbounded (the PR-1
-     *  semantics: resend until confirmed or an endpoint dies). A bound
-     *  keeps runs finite under never-healing partitions, where an Ack
-     *  may be unreachable forever. */
-    std::uint32_t maxReliableResends = 0;
 
     // --- lease-based failure detection (recovery.enabled) --------------------
     /** Lease renewal period (manager -> holder probe cadence). */

@@ -318,13 +318,10 @@ specFor(const Genome &g, protocol::EngineKind engine, bool smoke)
     core::RunSpec spec = baseSpecFor(g, engine, smoke);
     ClusterConfig &cc = spec.cluster;
     cc.faults.seed = 0x0ddfa117 ^ g.seed;
-    // Fast-recovery tuning so smoke genomes finish quickly; the
-    // reliablePost budget keeps runs finite even if a genome manages
-    // to make an Ack unreachable for a long stretch.
+    // Fast-recovery tuning so smoke genomes finish quickly.
     cc.tuning.retryTimeoutBase = us(4);
     cc.tuning.retryTimeoutCap = us(32);
     cc.tuning.maxCommitResends = 6;
-    cc.tuning.maxReliableResends = 64;
     cc.tuning.leaseInterval = us(10);
     cc.tuning.leaseTimeout = us(25);
     applyEvents(g, cc);

@@ -107,13 +107,11 @@ BaselineEngine::attempt(ExecCtx ctx, const txn::TxnProgram &prog,
     auto &kernel = sys_.kernel;
     auto &core = coreOf(ctx);
     const auto &costs = sys_.config.costs;
-    // Faults (or recovery) on: tag the lock-owner id with a per-attempt
-    // epoch so a replayed unlock/commit-write of attempt N can never
-    // touch the locks of attempt N+1, and so recovery's per-transaction
-    // state never aliases across attempts. Fault-free the bare id is
-    // used, as before.
-    const std::uint64_t self =
-        faultsOn() || recoveryOn() ? attemptId(ctx) : ctx.packed();
+    // The lock-owner id carries a per-attempt epoch, so a replayed
+    // unlock/commit-write of attempt N can never touch the locks of
+    // attempt N+1, and recovery's per-transaction state never aliases
+    // across attempts.
+    const std::uint64_t self = attemptId(ctx);
     const std::uint64_t audit_id =
         sys_.audit ? sys_.audit->begin(self) : 0;
 
@@ -721,8 +719,7 @@ BaselineEngine::attemptPessimistic(ExecCtx ctx,
     auto &kernel = sys_.kernel;
     auto &core = coreOf(ctx);
     const auto &costs = sys_.config.costs;
-    const std::uint64_t self =
-        faultsOn() || recoveryOn() ? attemptId(ctx) : ctx.packed();
+    const std::uint64_t self = attemptId(ctx);
     const std::uint64_t audit_id =
         sys_.audit ? sys_.audit->begin(self) : 0;
 

@@ -724,18 +724,11 @@ class TxnEngine
     {
         if (rs->confirmed)
             return;
-        // Fail-stop: a permanently dead endpoint ends the resend chain
-        // (the message can never be confirmed; recovery owns whatever
-        // the post was trying to accomplish).
+        // The chain ends only when confirmed or at fail-stop: a
+        // permanently dead endpoint can never confirm, and recovery
+        // owns whatever the post was trying to accomplish.
         if (sys_.network.nodeDead(rs->src) ||
             sys_.network.nodeDead(rs->dst))
-            return;
-        // Optional resend budget (RobustnessTuning::maxReliableResends;
-        // 0 = unbounded): under a never-healing partition the Ack may
-        // be unreachable forever, and an exhausted chain simply stops
-        // -- the protocol-level timeouts above own further recovery.
-        const std::uint32_t cap = sys_.config.tuning.maxReliableResends;
-        if (cap > 0 && n > cap)
             return;
         if (n > 0)
             st().reliableResends += 1;
