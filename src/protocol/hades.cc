@@ -1,7 +1,6 @@
 #include "protocol/hades.hh"
 
 #include <algorithm>
-#include <array>
 #include <tuple>
 
 #include "common/log.hh"
@@ -37,16 +36,6 @@ linesOf(AddrRange range)
 class HadesEngine::LocalPath
 {
   public:
-    /** Shared steps whose order the two paths fix differently. */
-    enum class Step
-    {
-        ApplyLocal,
-        PostValidations,
-        PromoteReplicas,
-        CleanupRemote,
-        DiscardReplicas,
-    };
-
     /** What differs between the paths as data rather than code. */
     struct Profile
     {
@@ -60,10 +49,6 @@ class HadesEngine::LocalPath
         bool recordMetadata;
         /** Stage replicas only when crash recovery is on. */
         bool replicateOnlyWithRecovery;
-        /** After the decision record, in order. */
-        std::array<Step, 3> commitSteps;
-        /** Abort cleanup after the local teardown, in order. */
-        std::array<Step, 2> abortSteps;
     };
 
     LocalPath(HadesEngine &e, const Profile &p)
@@ -108,7 +93,7 @@ class HadesEngine::LocalPath
     /** Between the serialization point and the decision record. */
     virtual sim::Task serialize(ExecCtx) { co_return; }
 
-    /** Apply the local writes (Step::ApplyLocal). */
+    /** Apply the local writes. */
     virtual sim::Task apply(ExecCtx ctx, AttemptPtr at) = 0;
 
     /** Local abort teardown before the shared one. */
@@ -204,12 +189,7 @@ class HadesEngine::HwPath final : public LocalPath
                         .nicReadSite = "hades-nic-read-bf",
                         .nicWriteSite = "hades-nic-write-bf",
                         .recordMetadata = false,
-                        .replicateOnlyWithRecovery = false,
-                        .commitSteps = {Step::ApplyLocal,
-                                        Step::PostValidations,
-                                        Step::PromoteReplicas},
-                        .abortSteps = {Step::CleanupRemote,
-                                       Step::DiscardReplicas}})
+                        .replicateOnlyWithRecovery = false})
     {
         // Evicting a speculatively-written LLC line squashes its owner.
         for (auto &node : sys_.nodes) {
@@ -450,12 +430,7 @@ class HadesEngine::SwPath final : public LocalPath
                         .nicReadSite = "hybrid-nic-read-bf",
                         .nicWriteSite = "hybrid-nic-write-bf",
                         .recordMetadata = true,
-                        .replicateOnlyWithRecovery = true,
-                        .commitSteps = {Step::PromoteReplicas,
-                                        Step::ApplyLocal,
-                                        Step::PostValidations},
-                        .abortSteps = {Step::DiscardReplicas,
-                                       Step::CleanupRemote}})
+                        .replicateOnlyWithRecovery = true})
     {}
 
     AttemptPtr
@@ -911,7 +886,6 @@ HadesEngine::remoteAccess(ExecCtx ctx, AttemptPtr at, NodeId home,
 sim::Task
 HadesEngine::commit(ExecCtx ctx, AttemptPtr at)
 {
-    using Step = LocalPath::Step;
     auto &core = coreOf(ctx);
     auto &node = sys_.node(ctx.node);
     const std::uint64_t id = at->id;
@@ -1074,15 +1048,9 @@ HadesEngine::commit(ExecCtx ctx, AttemptPtr at)
                 sys_.pendingApplies[{id, record}] =
                     PendingApply{hv.first, hv.second, at->auditId};
     }
-    for (Step step : local_->profile.commitSteps) {
-        if (step == Step::ApplyLocal)
-            co_await local_->apply(ctx, at);
-        else if (step == Step::PostValidations)
-            postValidations(ctx, at);
-        else
-            settleReplicas(ctx, id, at->replicas, MsgType::Validation,
-                           commit_seq);
-    }
+    co_await local_->apply(ctx, at);
+    postValidations(ctx, at);
+    settleReplicas(ctx, id, at->replicas, MsgType::Validation, commit_seq);
 
     // --- Step 6: unlock the local directory and clear local state ------------
     co_await core.occupy(cycles(6));
@@ -1335,7 +1303,6 @@ HadesEngine::armCommitResend(ExecCtx ctx, AttemptPtr at,
 sim::Task
 HadesEngine::cleanupAborted(ExecCtx ctx, AttemptPtr at)
 {
-    using Step = LocalPath::Step;
     auto &node = sys_.node(ctx.node);
     const std::uint64_t id = at->id;
 
@@ -1347,13 +1314,8 @@ HadesEngine::cleanupAborted(ExecCtx ctx, AttemptPtr at)
     at->localDirLocked = false;
     node.nic.clearLocalState(id);
 
-    for (Step step : local_->profile.abortSteps) {
-        if (step == Step::CleanupRemote)
-            co_await cleanupRemote(ctx, at);
-        else
-            settleReplicas(ctx, id, at->replicas, MsgType::Squash,
-                           std::nullopt);
-    }
+    co_await cleanupRemote(ctx, at);
+    settleReplicas(ctx, id, at->replicas, MsgType::Squash, std::nullopt);
 }
 
 sim::Task

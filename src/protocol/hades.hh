@@ -44,10 +44,9 @@
  *    Intend-to-commit address list in addition to RemoteWriteBF, so
  *    fully-written lines (which the paper deliberately keeps out of the
  *    write BF) are also protected during the commit window.
- *  - The two local paths order a few shared commit and abort steps
- *    differently, and HADES-H stages replicas only when crash recovery
- *    is on; LocalPath::Profile records each difference (DESIGN.md
- *    section 5).
+ *  - HADES-H stages replicas only when crash recovery is on;
+ *    LocalPath::Profile records this and the paths' other data
+ *    differences (DESIGN.md section 5).
  */
 
 #ifndef HADES_PROTOCOL_HADES_HH_
