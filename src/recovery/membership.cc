@@ -42,6 +42,15 @@ MembershipManager::start(std::uint64_t expected_drivers)
 bool
 MembershipManager::recordBlocked(std::uint64_t record)
 {
+    // A decided remote write whose Validation is still on its way to
+    // the old home has finished its attempt but not its write: moving
+    // the record now would let a later attempt read the pre-write
+    // value at the new home, and the late write would then overwrite
+    // that attempt's (a lost update).
+    if (applyInFlight(record)) {
+        stats_.deferredMoves += 1;
+        return true;
+    }
     bool blocked = false;
     // Scan every coordinator's router shard (plus the control bucket,
     // for totality) for unfinished attempts that touched the record.
@@ -315,10 +324,10 @@ MembershipManager::resyncLoop()
     while (!done_ || opsPending_ > 0)
         co_await sim::Delay{sys_.kernel, cfg_.migrateBatchInterval};
     // Let journaled remote writes land so ground truth is current at
-    // every home. Bounded wait: a reliable-resend budget exhausted
-    // under an unhealed partition is already lost data that the
-    // divergence audit reports -- don't hang the drain on it (such
-    // records are skipped via applyInFlight).
+    // every home. Bounded wait: a write stranded behind a partition
+    // that outlasts it must not hang the drain (such records are
+    // skipped via applyInFlight, and the end-of-run audit reports the
+    // unapplied journal entry).
     for (std::uint32_t i = 0; i < 64 && !sys_.pendingApplies.empty(); ++i)
         co_await sim::Delay{sys_.kernel, cfg_.migrateBatchInterval};
     resyncPass();

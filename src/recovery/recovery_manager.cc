@@ -266,16 +266,6 @@ RecoveryManager::applyPending(std::uint64_t record,
 }
 
 void
-RecoveryManager::replayLedgerOf(std::uint64_t tx)
-{
-    auto it = sys_.pendingApplies.lower_bound({tx, 0});
-    while (it != sys_.pendingApplies.end() && it->first.first == tx) {
-        applyPending(it->first.second, it->second);
-        it = sys_.pendingApplies.erase(it);
-    }
-}
-
-void
 RecoveryManager::viewChange(NodeId dead)
 {
     if (handled_[dead])
@@ -333,9 +323,9 @@ RecoveryManager::viewChange(NodeId dead)
     // --- 4. Resolve in-doubt transactions coordinated by the dead
     // node, by the paper's all-Acks rule: the durable decision record
     // says whether the coordinator passed its serialization point.
-    // Decided -> commit (replay the journaled remote writes; staged
-    // replica images are promoted in step 6). Undecided -> abort (the
-    // client was never acked). ------------------------------------------------
+    // Decided -> commit (step 5 replays the journaled remote writes;
+    // staged replica images are promoted in step 6). Undecided -> abort
+    // (the client was never acked). -------------------------------------------
     std::vector<std::pair<std::uint64_t, AttemptControl *>> victims;
     // Router state is sharded by coordinator node; scanning the shards
     // in node order (each one an ordered map) keeps the resolution
@@ -346,7 +336,6 @@ RecoveryManager::viewChange(NodeId dead)
                 victims.emplace_back(id, ctrl);
     for (auto &[id, ctrl] : victims) {
         if (ctrl->decisionRecorded) {
-            replayLedgerOf(id);
             if (sys_.audit && ctrl->auditId)
                 sys_.audit->noteCommit(ctrl->auditId);
             stats_.inDoubtCommitted += 1;
@@ -365,10 +354,14 @@ RecoveryManager::viewChange(NodeId dead)
     // --- 5. Apply decided writes stranded by a dead *home*: a live
     // coordinator's commit-write to the dead node can never land, but
     // the transaction is committed. The journal entry is applied at the
-    // record's new home (re-homed in step 3). ---------------------------------
+    // record's new home (re-homed in step 3). Every write journaled by
+    // the dead *coordinator* is decided too: those of its in-doubt
+    // commits (step 4), and those of attempts that finished before the
+    // crash, whose Validation resend chains died with it (step 7 clears
+    // the remote filters that a late copy would need to apply). -------
     std::vector<std::pair<std::uint64_t, std::uint64_t>> stranded;
     for (const auto &[key, pa] : sys_.pendingApplies)
-        if (pa.home == dead)
+        if (pa.home == dead || coordinatorOf(key.first) == dead)
             stranded.push_back(key);
     for (const auto &key : stranded) {
         applyPending(key.second, sys_.pendingApplies.at(key));

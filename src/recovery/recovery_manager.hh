@@ -189,9 +189,6 @@ class RecoveryManager
     void applyPending(std::uint64_t record,
                       const protocol::PendingApply &pa);
 
-    /** Replay and retire every journal entry of transaction @p tx. */
-    void replayLedgerOf(std::uint64_t tx);
-
     /** Coordinator node encoded in a packed (epoch-tagged) txn id. */
     static NodeId
     coordinatorOf(std::uint64_t tx)

@@ -433,6 +433,86 @@ TEST(Campaign, ShrinkerCollapsesTheThreadedMessagingGeneFirst)
         << "shrunken repro no longer reproduces";
 }
 
+/** Seed 39 (hades-fuzz-repro-v1). A join moved a record while a
+ *  finished HADES commit's Validation to the old home was still being
+ *  resent; an attempt at the new home read the pre-write value, and
+ *  the late write then overwrote it: a dependency cycle. */
+constexpr const char *kValidationInFlightAtMigration =
+    "{\"schema\":\"hades-fuzz-repro-v1\",\"seed\":39,\"nodes\":5,"
+    "\"txns_per_context\":5,\"shards\":1,\"bug_hook\":false,"
+    "\"threaded_messaging\":false,\"events\":[{\"kind\":\"nic_stall\","
+    "\"verb\":2,\"prob\":0.33430556618528523,\"a\":4,\"b\":1,"
+    "\"at_ps\":13000000,\"until_ps\":40000000,\"symmetric\":false,"
+    "\"count\":4},{\"kind\":\"slow_nic\",\"verb\":9,"
+    "\"prob\":0.27451954217374147,\"a\":4,\"b\":3,\"at_ps\":13000000,"
+    "\"until_ps\":36000000,\"symmetric\":false,\"count\":2},"
+    "{\"kind\":\"slow_nic\",\"verb\":4,\"prob\":0.1667685162615426,\"a\":2,"
+    "\"b\":2,\"at_ps\":33000000,\"until_ps\":49000000,\"symmetric\":true,"
+    "\"count\":4},{\"kind\":\"pause_node\",\"verb\":8,"
+    "\"prob\":0.0427302774543792,\"a\":3,\"b\":3,\"at_ps\":45000000,"
+    "\"until_ps\":49000000,\"symmetric\":true,\"count\":4},"
+    "{\"kind\":\"partition\",\"verb\":8,\"prob\":0.05219862645602544,"
+    "\"a\":3,\"b\":2,\"at_ps\":31000000,\"until_ps\":61000000,"
+    "\"symmetric\":true,\"count\":3},{\"kind\":\"corrupt_verb\",\"verb\":3,"
+    "\"prob\":0.008126449504187672,\"a\":2,\"b\":4,\"at_ps\":45000000,"
+    "\"until_ps\":49000000,\"symmetric\":true,\"count\":1},"
+    "{\"kind\":\"join_node\",\"verb\":5,\"prob\":0.33128693566480877,"
+    "\"a\":0,\"b\":3,\"at_ps\":70000000,\"until_ps\":90000000,"
+    "\"symmetric\":true,\"count\":3},{\"kind\":\"slow_nic\",\"verb\":0,"
+    "\"prob\":0.16859122890649192,\"a\":1,\"b\":3,\"at_ps\":35000000,"
+    "\"until_ps\":60000000,\"symmetric\":false,\"count\":4},"
+    "{\"kind\":\"slow_nic\",\"verb\":5,\"prob\":0.1249238820149368,\"a\":1,"
+    "\"b\":3,\"at_ps\":52000000,\"until_ps\":57000000,\"symmetric\":true,"
+    "\"count\":4},{\"kind\":\"drop_verb\",\"verb\":5,"
+    "\"prob\":0.18823121322270608,\"a\":4,\"b\":2,\"at_ps\":43000000,"
+    "\"until_ps\":68000000,\"symmetric\":true,\"count\":1},"
+    "{\"kind\":\"delay_verb\",\"verb\":9,\"prob\":0.17435059170285153,"
+    "\"a\":3,\"b\":3,\"at_ps\":78000000,\"until_ps\":86000000,"
+    "\"symmetric\":true,\"count\":4},{\"kind\":\"shed_storm\",\"verb\":9,"
+    "\"prob\":0.15315572689243032,\"a\":1,\"b\":1,\"at_ps\":7000000,"
+    "\"until_ps\":32000000,\"symmetric\":true,\"count\":4}]}";
+
+/** Seed 139, shrunk. A coordinator crashed after its attempt finished
+ *  but before its Validation landed; the view change replayed only the
+ *  journals of unfinished attempts, so the decided write was never
+ *  applied (the end-of-run audit finds its journal entry left over). */
+constexpr const char *kJournalOfFinishedDeadCoordinator =
+    "{\"schema\":\"hades-fuzz-repro-v1\",\"seed\":139,\"nodes\":5,"
+    "\"txns_per_context\":3,\"shards\":1,\"bug_hook\":false,"
+    "\"threaded_messaging\":false,\"events\":[{\"kind\":\"crash_forever\","
+    "\"verb\":2,\"prob\":0.3082816624014213,\"a\":3,\"b\":4,"
+    "\"at_ps\":22000000,\"until_ps\":24000000,\"symmetric\":true,"
+    "\"count\":2},{\"kind\":\"drain_node\",\"verb\":7,"
+    "\"prob\":0.10001780138477957,\"a\":2,\"b\":1,\"at_ps\":18000000,"
+    "\"until_ps\":55000000,\"symmetric\":false,\"count\":4},"
+    "{\"kind\":\"join_node\",\"verb\":0,\"prob\":0.05971121209017926,"
+    "\"a\":1,\"b\":3,\"at_ps\":73000000,\"until_ps\":93000000,"
+    "\"symmetric\":true,\"count\":2}]}";
+
+/** Replay a repro artifact at full size (not smoke). */
+FuzzVerdict
+replayFull(const char *json)
+{
+    Genome g;
+    std::string err;
+    EXPECT_TRUE(parseGenomeJson(json, g, err)) << err;
+    FuzzRunOptions opt;
+    opt.jobs = 2;
+    return runGenome(g, opt);
+}
+
+TEST(Campaign, MigrationWaitsForAnInFlightValidation)
+{
+    auto v = replayFull(kValidationInFlightAtMigration);
+    EXPECT_FALSE(v.failed) << v.engine << ": " << v.error;
+}
+
+TEST(Campaign, ViewChangeAppliesAFinishedDeadCoordinatorsWrites)
+{
+    auto v = replayFull(kJournalOfFinishedDeadCoordinator);
+    EXPECT_FALSE(v.failed) << v.engine << ": " << v.error;
+}
+
 TEST(Campaign, VerdictIsReproducible)
 {
     FuzzRunOptions opt;
