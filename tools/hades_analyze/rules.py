@@ -19,7 +19,7 @@ import os
 import re
 
 from . import config as C
-from .model import Finding
+from .model import Finding, WriteSite
 from .cpp_lexer import lex
 
 
@@ -416,6 +416,61 @@ def owner_class_of_write(index, resolver, fn, w, target_classes):
     return ""
 
 
+FIELD_CHAIN_RE = re.compile(
+    r"^(?:this\s*->\s*)?[A-Za-z_]\w*(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*$")
+
+
+def is_mutable_ref(type_spelling):
+    """Is @p type_spelling an lvalue reference to non-const ('T &')?"""
+    t = type_spelling.strip()
+    if not t.endswith("&") or t.endswith("&&"):
+        return False
+    # Only a top-level const counts: drop template arguments first.
+    prev = None
+    while prev != t:
+        prev, t = t, re.sub(r"<[^<>]*>", "", t)
+    return not re.search(r"\bconst\b", t)
+
+
+def ref_arg_writes(index, resolver, fn):
+    """WriteSites for field chains that @p fn passes to a parameter
+    declared as a non-const lvalue reference to a type the index does
+    not model as a class (a container, a scalar): only the callee can
+    mutate such a field, in place. A reference to a modeled class is a
+    handle; what its methods write is inventoried as that class's own
+    fields, as for a method called on the field directly."""
+    out = []
+    for call in fn.calls:
+        comps = expr_components(call.callee)
+        short = comps[-1].replace("()", "").split("<")[0] if comps else ""
+        short = short.split("::")[-1]
+        written = set()
+        for cand in index.func_by_name.get(short, []):
+            for i, param in enumerate(cand.params[:len(call.args)]):
+                if is_mutable_ref(param.type_spelling) and \
+                        resolver.class_of(param.type_spelling) is None:
+                    written.add(i)
+        for i in sorted(written):
+            arg = call.args[i]
+            if not FIELD_CHAIN_RE.match(arg):
+                continue
+            names = re.findall(r"[A-Za-z_]\w*", arg)
+            if names[0] == "this":
+                names = names[1:]
+                cls = fn.cls
+            elif len(names) == 1:
+                if resolver.is_var(fn, names[0]):
+                    continue    # a local or parameter, not a field
+                cls = fn.cls
+            else:
+                cls = ""
+            out.append(WriteSite(
+                field=names[-1], cls=cls, expr=arg, kind="call",
+                via_method=short, file=call.file, line=call.line,
+                func=call.func))
+    return out
+
+
 # Lambda names carry their source line (`<lambda:123>`); the inventory
 # drops it with the other line numbers.
 LAMBDA_LINE_RE = re.compile(r"<lambda:\d+>")
@@ -463,7 +518,7 @@ def rule_lane_escape(index, supp):
     findings = []
     fn_by_name = {fn.name: fn for fn in index.functions}
     for fn in index.functions:
-        for w in fn.writes:
+        for w in fn.writes + ref_arg_writes(index, resolver, fn):
             owner = owner_class_of_write(index, resolver, fn, w,
                                          target_classes)
             if owner not in target_classes:

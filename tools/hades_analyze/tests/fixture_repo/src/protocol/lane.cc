@@ -42,6 +42,37 @@ Engine::markedWrite()
 }
 
 void
+fill(std::map<unsigned, std::uint64_t> &out)
+{
+    out[0] += 1;
+}
+
+std::uint64_t
+peek(const std::map<unsigned, std::uint64_t> &in)
+{
+    return in.size();
+}
+
+void
+Engine::refWrite()
+{
+    fill(filled_); // EXPECT: lane-escape
+}
+
+void
+Engine::constRefRead()
+{
+    (void)peek(peeked_);
+}
+
+void
+Engine::refMarkedWrite()
+{
+    // hades-analyze: lane-escape-ok (fixture: write through a reference argument)
+    fill(refPass_);
+}
+
+void
 AnnotatedEngine::anyWrite()
 {
     x_ += 1;

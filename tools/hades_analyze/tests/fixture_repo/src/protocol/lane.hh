@@ -22,6 +22,9 @@ class Engine
     void accessorWrite();           // per-node accessor: clean
     void annotatedWrite();          // field-level marker: clean
     void markedWrite();             // site-level marker: clean
+    void refWrite();                // expect: lane-escape finding
+    void constRefRead();            // const reference argument: clean
+    void refMarkedWrite();          // site-level marker: clean
 
   private:
     Stats &st();
@@ -32,7 +35,15 @@ class Engine
     std::uint64_t annotated_ = 0; // hades-analyze: lane-escape-ok (fixture: field-level annotation)
     std::uint64_t sitePass_ = 0;
     std::map<unsigned, std::uint64_t> byNode_;
+    std::map<unsigned, std::uint64_t> filled_;
+    std::map<unsigned, std::uint64_t> peeked_;
+    std::map<unsigned, std::uint64_t> refPass_;
 };
+
+/** Fill @p out in place: a caller's field passed here is written. */
+void fill(std::map<unsigned, std::uint64_t> &out);
+/** Read @p in only. */
+std::uint64_t peek(const std::map<unsigned, std::uint64_t> &in);
 
 // hades-analyze: lane-escape-ok (fixture: class-level annotation)
 class AnnotatedEngine
