@@ -95,13 +95,9 @@ struct RunSpec
     X(u64, partitionDrops, "partition_drops", Net, Hashed)                    \
     X(u64, partitionHeals, "partition_heals", Net, Hashed)                    \
     X(u64, corruptDrops, "corrupt_drops", Net, Hashed)                        \
-    /* Loss recovery: NIC-level RC retransmissions, commit-phase              \
-     * Ack-timeout resends, reliable one-way resends, CommitTimeout           \
-     * squash-and-retries. */                                                 \
+    /* Loss recovery: NIC-level RC retransmissions (the protocol-level       \
+     * resends are EngineStats counters). */                                  \
     X(u64, netRetransmits, "net_retransmits", Net, Hashed)                    \
-    X(u64, timeoutResends, "timeout_resends", Net, Hashed)                    \
-    X(u64, reliableResends, "reliable_resends", Net, Hashed)                  \
-    X(u64, timeoutSquashes, "timeout_squashes", Net, Hashed)                  \
     /* Crash recovery (src/recovery/; all zero unless                         \
      * ClusterConfig::recovery.enabled and a node permanently died).          \
      * divergentRecords counts live-backup images that disagree with          \
@@ -132,6 +128,7 @@ struct RunSpec
     X(u64, hedgeWins, "hedge_wins", Grey, Hashed)                             \
     X(u64, admittedTxns, "admitted_txns", Grey, Hashed)                       \
     X(u64, shedTxns, "shed_txns", Grey, Hashed)                               \
+    /* A copy of the EngineStats counter that perfbench reads. */             \
     X(u64, retryBudgetDeferrals, "retry_budget_deferrals", Grey, Hashed)      \
     X(u64, quarantines, "quarantines", Grey, Hashed)                          \
     /* Elastic membership (src/recovery/membership.hh; all zero unless a      \
@@ -142,8 +139,6 @@ struct RunSpec
     X(u64, migrationBatches, "migration_batches", Membership, Hashed)         \
     X(u64, drainDurationEvents, "drain_duration_events", Membership, Hashed)  \
     X(u64, joinsCompleted, "joins_completed", Membership, Hashed)             \
-    X(u64, stalePlacementRetries, "stale_placement_retries",                  \
-      Membership, Hashed)                                                     \
     /* Correctness audit (all zero when auditing is off). */                  \
     X(bool, audited, "audited", Audit, Hashed)                                \
     X(u64, auditedCommits, "audited_commits", Audit, Hashed)                  \

@@ -271,8 +271,8 @@ TEST_P(OnePercentDrop, RunnerCompletesAndSurfacesCounters)
                                    spec.cluster.slotsPerCore;
     EXPECT_EQ(res.stats.committed, contexts * spec.txnsPerContext);
     EXPECT_GT(res.faultDrops, 0u) << "no faults injected at 1% drop";
-    EXPECT_GT(res.netRetransmits + res.timeoutResends +
-                  res.reliableResends,
+    EXPECT_GT(res.netRetransmits + res.stats.timeoutResends +
+                  res.stats.reliableResends,
               0u)
         << "drops were injected but no recovery path fired";
 }

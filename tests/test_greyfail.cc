@@ -491,7 +491,7 @@ TEST(Retry_, TimeoutLadderIsDeterministicAcrossRunsAndShards)
     spec.cluster.faults.seed = 7;
     auto a = core::runOne(spec);
     auto b = core::runOne(spec);
-    ASSERT_GT(a.timeoutResends, 0u)
+    ASSERT_GT(a.stats.timeoutResends, 0u)
         << "the drop rate never exercised the RTO ladder";
     EXPECT_EQ(core::hashResult(a), core::hashResult(b));
     for (std::uint32_t shards : {2u, 4u}) {

@@ -166,7 +166,9 @@ TEST(Membership, BaselineHonoursADeliveredStalePlacementSquash)
         spec.audit = true;
         auto res = core::runOne(spec);
         EXPECT_TRUE(res.membershipComplete) << "seed " << seed;
-        EXPECT_GT(res.stalePlacementRetries, 0u)
+        EXPECT_GT(res.stats.squashes[std::size_t(
+                      txn::SquashReason::StalePlacement)],
+                  0u)
             << "seed " << seed << ": no squash was honoured";
         EXPECT_EQ(res.divergentRecords, 0u) << "seed " << seed;
     }
